@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -82,11 +82,8 @@ class PointRecord:
     failure: Optional[str] = None
     report: Optional[SolveReport] = None
     spectral: Optional[spectra.SpectralReport] = None
-
-    def residual_score(self) -> float:
-        if self.report is None:
-            return math.inf
-        return max(self.report.pohozaev_residual, self.report.nehari_residual)
+    #: max(Pohozaev, Nehari residual) of the solve; outlives a dropped report
+    residual: float = math.inf
 
 
 class BranchStore:
@@ -104,7 +101,7 @@ class BranchStore:
         """Idempotent insert: an existing point is replaced only when the
         new record's identity residuals are strictly better."""
         old = self._records.get(record.key)
-        if old is not None and old.residual_score() <= record.residual_score():
+        if old is not None and old.residual <= record.residual:
             return False
         self._records[record.key] = record
         return True
@@ -155,20 +152,26 @@ class BranchStore:
 
     @staticmethod
     def read_branch_csv(path: Union[str, Path]) -> list[MassCurvePoint]:
+        """Points of a branch.csv; InvalidParams if it cannot be read."""
         def val(s: str) -> Optional[float]:
             x = float(s)
             return None if math.isnan(x) else x
 
         points = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                points.append(MassCurvePoint(
-                    omega=float(row["omega"]), mass=val(row["M"]),
-                    mprime_fd=val(row["Mprime_fd"]),
-                    mprime_res=val(row["Mprime_res"]), dirichlet=float(row["T"]),
-                    beta=float(row["beta"]), quasi_grad=float(row["Qgrad"]),
-                    energy=float(row["E"]), m_omega=val(row["m_omega"]),
-                    lambda_omega=val(row["lambda"]), regime=""))
+        try:
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    points.append(MassCurvePoint(
+                        omega=float(row["omega"]), mass=val(row["M"]),
+                        mprime_fd=val(row["Mprime_fd"]),
+                        mprime_res=val(row["Mprime_res"]),
+                        dirichlet=float(row["T"]), beta=float(row["beta"]),
+                        quasi_grad=float(row["Qgrad"]),
+                        energy=float(row["E"]), m_omega=val(row["m_omega"]),
+                        lambda_omega=val(row["lambda"]), regime=""))
+        except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise InvalidParams(f"cannot read branch CSV {path}: "
+                                f"{type(exc).__name__}: {exc}") from exc
         return points
 
 
@@ -208,8 +211,7 @@ def compute_point(params: Params, resolution: int = 1024,
                 spectral = spectra.build_spectral_report(report)
                 mprime_res = spectral.mprime.primal
             else:
-                mprime_res = spectra.mprime_resolvent(
-                    report.u, report.v, params).primal
+                mprime_res = spectra.mprime_resolvent(report.u, params).primal
         except QGroundError as exc:
             failure = f"{type(exc).__name__}: {exc}"
     lam = None
@@ -222,7 +224,9 @@ def compute_point(params: Params, resolution: int = 1024,
         quasi_grad=d.quasi_grad, energy=d.energy, m_omega=d.m_omega,
         lambda_omega=lam, regime=regime.tag)
     return PointRecord(key=key, point=point, accepted=bool(report.accepted()),
-                       failure=failure, report=report, spectral=spectral)
+                       failure=failure, report=report, spectral=spectral,
+                       residual=max(report.pohozaev_residual,
+                                    report.nehari_residual))
 
 
 def _worker(args) -> PointRecord:
@@ -291,12 +295,7 @@ def _fill_mprime_fd(store: BranchStore) -> None:
             fd = ladder_derivative(omegas, masses, i)
         except InsufficientNeighbors:
             continue
-        q = rec.point
-        rec.point = MassCurvePoint(
-            omega=q.omega, mass=q.mass, mprime_fd=fd,
-            mprime_res=q.mprime_res, dirichlet=q.dirichlet, beta=q.beta,
-            quasi_grad=q.quasi_grad, energy=q.energy, m_omega=q.m_omega,
-            lambda_omega=q.lambda_omega, regime=q.regime)
+        rec.point = replace(rec.point, mprime_fd=fd)
 
 
 def mprime_fd(store: BranchStore, omega: float) -> float:

@@ -338,6 +338,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fit(args) -> int:
     points = BranchStore.read_branch_csv(args.branch)
+    if not points:
+        raise InvalidParams(f"branch CSV {args.branch} holds no points")
     params = Params(args.dim, args.p, args.delta, points[0].omega)
     regime = classify(params)
     out: dict = {"schema": 1, "regime": regime.tag}

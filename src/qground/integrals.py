@@ -206,7 +206,7 @@ def compute_diagnostics(u: RadialProfile, params: Params,
     energy = energy_functional(dirichlet, quasi, potential, params)
     m_omega = m_star = delta_omega = None
     if dim >= 3 and v is not None:
-        m_omega = level_m_omega(v, params)
+        m_omega = level_m_omega(u, v, params)
         if classify(params).is_critical:
             m_star = sobolev_constant(dim)
             delta_omega = m_omega - m_star
@@ -263,10 +263,10 @@ def critical_key_residual(u: RadialProfile, params: Params,
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs))
 
 
-def level_m_omega(v: RadialProfile, params: Params,
+def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params,
                   cross_check_tol: float = 1e-6) -> float:
-    """Variational level m_omega recovered from the solution v of the dual
-    problem via m_omega = (2* int F_omega(v))^(2/N).
+    """Variational level m_omega recovered from the solution v = h(u) of the
+    dual problem via m_omega = (2* int F_omega(v))^(2/N), F_omega taken on u.
 
     The Pohozaev identity for the dual problem forces
     int |grad v|^2 = 2* int F_omega(v); the two routes must agree to
@@ -274,8 +274,7 @@ def level_m_omega(v: RadialProfile, params: Params,
     """
     if params.dim < 3:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
-    ctx = transform.TransformContext(params.delta)
-    f_vals = transform.F_omega(v.values, params.omega, params.p, ctx)
+    f_vals = transform.F_omega_u(u.values, params.omega, params.p)
     tail = 0.0
     if v.decay is not None and v.decay.kind != DECAY_NONE:
         # F_omega(s) ~ |s|^{p+1}/(p+1) - omega s^2 / 2 for small s

@@ -2,8 +2,14 @@
 
 The positive decaying solution is found by bisection on the center height
 v(0) = a: trajectories that cross zero overshoot, trajectories that turn
-back up undershoot, and the ground state sits on the boundary.  Once the
-trajectory drops below a matching threshold the side is decided by the
+back up undershoot, and the ground state sits on the boundary.  Each
+trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
+
+    u' = w / h'(u),    w' = -(N-1)/rho w - (|u|^{p-1} u - omega u) / h'(u),
+
+so the right-hand side never inverts h (at delta = 0 it is the NLS system);
+r = h^{-1} runs once per trajectory on the launch value and on each event
+level, which are v-levels.  Once the trajectory drops below a matching threshold the side is decided by the
 local logarithmic slope, so bisection iterations never integrate through
 the contaminated far field.  Beyond the matching radius the profile is
 extended by the fitted analytic tail:
@@ -11,7 +17,8 @@ extended by the fitted analytic tail:
     omega > 0:  v ~ A rho^{-(N-1)/2} exp(-sqrt(omega) rho)
     omega = 0:  v ~ c rho^{-(N-2)}   (zero-mass problem, supercritical only)
 
-The quasilinear ground state is recovered pointwise as u = r(v).
+The ground state u is read off the trajectory and v = h(u); the fitted
+tail of v is carried back to u through r.
 """
 from __future__ import annotations
 
@@ -68,8 +75,9 @@ def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
     v(r) = a - f(a) r^2 / (2N) + f'(a) f(a) r^4 / (8N(N+2)) + O(r^6).
     """
     ctx = transform.TransformContext(params.delta)
-    fa = transform.f_omega(a, params.omega, params.p, ctx)
-    fpa = transform.f_omega_prime(a, params.omega, params.p, ctx)
+    u0 = transform.r_scalar(a, ctx)
+    fa = transform.f_omega_u(u0, params.omega, params.p, ctx)
+    fpa = transform.f_omega_prime_u(u0, params.omega, params.p, ctx)
     n = params.dim
     c2 = -fa / (2.0 * n)
     c4 = fpa * fa / (8.0 * n * (n + 2.0))
@@ -118,14 +126,17 @@ class _Shooter:
         self.params = params
         self.cfg = cfg
         self.ctx = transform.TransformContext(params.delta)
-        self.f = transform.make_scalar_f_omega(params.omega, params.p, self.ctx)
         self.s_star = transform.s_star(params.omega, params.p, self.ctx)
         self.r_max = cfg.r_max if cfg.r_max is not None \
             else make_grid(params, cfg.resolution).r_max
         n = params.dim
+        two_delta, pm1, omega = 2.0 * params.delta, params.p - 1.0, params.omega
 
         def rhs(rho, y):
-            return (y[1], -(n - 1) / rho * y[1] - self.f(y[0]))
+            u, w = y.tolist()
+            root = math.sqrt(1.0 + two_delta * u * u)
+            return (w / root,
+                    -(n - 1) / rho * w - (abs(u) ** pm1 * u - omega * u) / root)
 
         self.rhs = rhs
 
@@ -134,7 +145,8 @@ class _Shooter:
         the matching thresholds.  In "classify" mode the match level is
         terminal (bisection never integrates the contaminated far field);
         in "final" mode it is only recorded and a deeper floor terminates,
-        giving the tail fit room to select its matching radius."""
+        giving the tail fit room to select its matching radius.  The v-levels
+        are converted to u-levels once (v = 0 exactly when u = 0)."""
         def cross(rho, y):
             return y[0]
         cross.terminal, cross.direction = True, -1
@@ -145,24 +157,26 @@ class _Shooter:
 
         events = [cross, turn]
         if mode != "bare" and self.params.omega > 0:
-            v_match = self.cfg.tail_match_rel * a
+            u_match = transform.r_scalar(self.cfg.tail_match_rel * a, self.ctx)
 
             def match(rho, y):
-                return y[0] - v_match
+                return y[0] - u_match
             match.terminal, match.direction = (mode == "classify"), -1
             events.append(match)
             if mode == "final":
-                v_floor = self.cfg.tail_floor_rel * a
+                u_floor = transform.r_scalar(self.cfg.tail_floor_rel * a,
+                                             self.ctx)
 
                 def floor(rho, y):
-                    return y[0] - v_floor
+                    return y[0] - u_floor
                 floor.terminal, floor.direction = True, -1
                 events.append(floor)
         return events
 
     def integrate(self, a: float, r_end: Optional[float] = None,
                   dense: bool = False, mode: str = "classify"):
-        y0 = series_start(a, self.params, START_RADIUS)
+        v0, w0 = series_start(a, self.params, START_RADIUS)
+        y0 = (transform.r_scalar(v0, self.ctx), w0)
         return solve_ivp(
             self.rhs, (START_RADIUS, r_end if r_end else self.r_max), y0,
             method="DOP853", rtol=self.cfg.ode_rtol,
@@ -174,18 +188,18 @@ class _Shooter:
         crossed = sol.t_events[0].size > 0
         turned = sol.t_events[1].size > 0
         matched = len(sol.t_events) > 2 and sol.t_events[2].size > 0
+        rho, vp = float(sol.t[-1]), float(sol.y[1, -1])
+        v = transform.h(sol.y[0, -1], self.ctx)
         tag = classify_trajectory(
             self.params, crossed_zero=crossed, turned_up=turned,
-            rho=float(sol.t[-1]), v=float(sol.y[0, -1]),
-            vp=float(sol.y[1, -1]), s_star_val=self.s_star, matched=matched)
+            rho=rho, v=v, vp=vp, s_star_val=self.s_star, matched=matched)
         if tag == CONVERGING:
             # during bisection a converging tag means the slope test sat on
             # the fence; resolve the side by the sign of the slope defect
             n = self.params.dim
             kappa = math.sqrt(self.params.omega)
-            orbit = kappa + (n - 1) / (2.0 * sol.t[-1])
-            tag = UNDERSHOOT if -sol.y[1, -1] / sol.y[0, -1] < orbit \
-                else OVERSHOOT
+            orbit = kappa + (n - 1) / (2.0 * rho)
+            tag = UNDERSHOOT if -vp / v < orbit else OVERSHOOT
         return tag
 
     # -- bracketing ---------------------------------------------------------
@@ -253,10 +267,11 @@ def _fit_tail(shooter: _Shooter, sol, a: float,
     if params.omega > 0:
         kappa = math.sqrt(params.omega)
         v_far = 1e-5 * a
-        mask = (sol.y[0] > 0) & (sol.y[0] <= v_far) & (sol.y[1] < 0)
+        v_all = transform.h(sol.y[0], shooter.ctx)
+        mask = (v_all > 0) & (v_all <= v_far) & (sol.y[1] < 0)
         if mask.any():
             cand_t = sol.t[mask]
-            cand_v = sol.y[0][mask]
+            cand_v = v_all[mask]
             cand_vp = sol.y[1][mask]
             rate = -cand_vp / cand_v - (n - 1) / (2.0 * cand_t)
             ok = np.abs(rate / kappa - 1.0) <= rate_tol
@@ -269,14 +284,15 @@ def _fit_tail(shooter: _Shooter, sol, a: float,
             rate_fit = float(rate[idx])
         else:          # trajectory ended before reaching the far field
             rho_m = float(sol.t[-1])
-            v_m, vp_m = float(sol.y[0, -1]), float(sol.y[1, -1])
+            v_m, vp_m = float(v_all[-1]), float(sol.y[1, -1])
             rate_fit = -vp_m / v_m - (n - 1) / (2.0 * rho_m)
         amp = v_m * rho_m ** ((n - 1) / 2.0) * math.exp(kappa * rho_m)
         decay = Decay(kind=DECAY_EXPONENTIAL, rate=kappa, amplitude=amp,
                       match_radius=rho_m, dim=n)
         return decay, rho_m, rate_fit
     rho_m = ZERO_MASS_MATCH_FRACTION * shooter.r_max
-    v_m, vp_m = (float(x) for x in sol.sol(rho_m))
+    u_m, vp_m = (float(x) for x in sol.sol(rho_m))
+    v_m = transform.h(u_m, shooter.ctx)
     amp = v_m * rho_m ** (n - 2)
     decay = Decay(kind=DECAY_POWER, exponent=float(n - 2), amplitude=amp,
                   match_radius=rho_m, dim=n)
@@ -288,10 +304,11 @@ def _fit_tail(shooter: _Shooter, sol, a: float,
 class SolveReport:
     """A solved ground state with residual diagnostics.
 
-    v solves the dual problem, u = r(v) the quasilinear one.  ode_residual
-    is the sup-norm of the dual radial ODE residual measured on the dense
-    trajectory; equivalence_residual is the relative residual of the
-    quasilinear equation evaluated from u = r(v) by the chain rule.
+    u solves the quasilinear problem and v = h(u) the dual one; both are
+    sampled from the same (u, v') trajectory.  ode_residual is the sup-norm
+    of the dual radial ODE residual measured on the dense trajectory;
+    equivalence_residual is the relative residual of the quasilinear
+    equation rebuilt from v alone through r, r' and r'' by the chain rule.
     """
 
     params: Params
@@ -346,28 +363,30 @@ class SolveReport:
 def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
                      decay: Decay) -> tuple[RadialProfile, RadialProfile]:
     params = shooter.params
+    ctx = shooter.ctx
     nodes = grid.nodes
     rho_m = decay.match_radius
+    u = np.empty_like(nodes)
     v = np.empty_like(nodes)
     vp = np.empty_like(nodes)
+    # off the trajectory v is given and u = r(v), in one vectorised call
     v[0], vp[0] = a, 0.0
     series = (nodes > 0) & (nodes < START_RADIUS)
     for i in np.nonzero(series)[0]:
         v[i], vp[i] = series_start(a, params, float(nodes[i]))
-    inner = (nodes >= START_RADIUS) & (nodes <= rho_m)
-    vals = sol.sol(nodes[inner])
-    v[inner], vp[inner] = vals[0], vals[1]
     outer = nodes > rho_m
     v[outer] = decay.value(nodes[outer])
     vp[outer] = decay.derivative(nodes[outer])
+    inner = (nodes >= START_RADIUS) & (nodes <= rho_m)
+    u[~inner] = transform.r(v[~inner], ctx)
+    u[inner], vp[inner] = sol.sol(nodes[inner])
+    v[inner] = transform.h(u[inner], ctx)
     v_profile = RadialProfile(grid=grid, values=v, derivative_values=vp,
                               decay=decay)
-    ctx = shooter.ctx
-    u_vals = transform.r(v, ctx)
-    u_der = transform.r_prime(v, ctx) * vp
     # r(s) = s + O(s^3): the analytic tail carries over with the same
     # amplitude at the matching level used here
-    u_profile = RadialProfile(grid=grid, values=u_vals, derivative_values=u_der,
+    u_profile = RadialProfile(grid=grid, values=u,
+                              derivative_values=vp / transform.h_prime(u, ctx),
                               decay=decay)
     return v_profile, u_profile
 
@@ -406,8 +425,8 @@ def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    v_pts = sol.sol(pts.ravel())[0]
-    f_pts = transform.f_omega(v_pts, params.omega, params.p, shooter.ctx)
+    u_pts = sol.sol(pts.ravel())[0]
+    f_pts = transform.f_omega_u(u_pts, params.omega, params.p, shooter.ctx)
     w_pts = pts.ravel() ** (n - 1) * f_pts
     cell_int = half * (w_pts.reshape(pts.shape) * _GAUSS_W[None, :]).sum(axis=1)
     defect = flux[1:] - flux[:-1] + cell_int
@@ -457,7 +476,8 @@ def _polish_zero_mass(shooter: _Shooter, lo: float, hi: float) -> float:
         sol = shooter.integrate(a, r_end=rho_1, dense=False, mode="bare")
         if sol.t_events[0].size or sol.y[0, -1] <= 0:
             return -1e6 * (1.0 + a)
-        return (n - 2) * float(sol.y[0, -1]) + rho_1 * float(sol.y[1, -1])
+        v_1 = transform.h(sol.y[0, -1], shooter.ctx)
+        return (n - 2) * v_1 + rho_1 * float(sol.y[1, -1])
 
     # The bisection fixed point only pins the constant far-field mode down
     # to ~R_max^{2-N}, so the monitor root may sit outside the final
@@ -530,9 +550,6 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
 
     ode_res = _ode_residual(shooter, sol, v_profile, rho_m)
     equiv_res = _equivalence_residual(shooter, v_profile, u_profile)
-    m_omega = None
-    if params.dim >= 3:
-        m_omega = integrals.level_m_omega(v_profile, params)
     diag = integrals.compute_diagnostics(u_profile, params, v=v_profile)
     poh = integrals.pohozaev_residual(u_profile, params, diag)
     neh = integrals.nehari_residual(u_profile, params, diag)
@@ -540,7 +557,7 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
         params=params, regime=regime, v=v_profile, u=u_profile,
         shooting_height=a, ode_residual=ode_res,
         equivalence_residual=equiv_res, pohozaev_residual=poh,
-        nehari_residual=neh, m_omega=m_omega, diagnostics=diag,
+        nehari_residual=neh, m_omega=diag.m_omega, diagnostics=diag,
         iterations=iterations, tail_rate_fit=rate_fit, bracket=(lo, hi))
 
 

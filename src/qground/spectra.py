@@ -110,8 +110,7 @@ class DiscreteOperator:
 
 
 def assemble(u: RadialProfile, params: Params, ell: int = 0,
-             kind: str = KIND_LPLUS,
-             v: Optional[RadialProfile] = None) -> DiscreteOperator:
+             kind: str = KIND_LPLUS) -> DiscreteOperator:
     """Finite-volume assembly of L+, L- or the dual-side operator."""
     grid = u.grid
     nodes = grid.nodes
@@ -131,10 +130,9 @@ def assemble(u: RadialProfile, params: Params, ell: int = 0,
             - np.abs(uu) ** (params.p - 1.0) + params.omega
         coeff_profile = None
     elif kind == KIND_DUAL:
-        if v is None:
-            raise InvalidParams("the dual operator needs the profile v")
+        # -f_omega'(v) at v = h(u), in closed form on the nodes of u
         ctx = transform.TransformContext(delta)
-        q = -transform.f_omega_prime(v.values, params.omega, params.p, ctx)
+        q = -transform.f_omega_prime_u(uu, params.omega, params.p, ctx)
         coeff_profile = None
     else:
         raise InvalidParams(f"unknown operator kind {kind!r}")
@@ -244,7 +242,7 @@ def kernel_residual(op: DiscreteOperator, values: np.ndarray,
 @dataclass
 class MprimeResult:
     primal: float          # -2 <u, L+^{-1} u>
-    dual: float            # -2 <eta, L_dual^{-1} eta>, eta = r(v) r'(v)
+    dual: float            # -2 <eta, L_dual^{-1} eta>, eta = u r'(v) = u/h'(u)
     domega_u: np.ndarray = field(repr=False)   # d u / d omega on the nodes
 
     def agreement(self) -> float:
@@ -267,21 +265,23 @@ def coarsen_profile(profile: RadialProfile) -> RadialProfile:
                          decay=profile.decay)
 
 
-def _mprime_once(u: RadialProfile, v: RadialProfile,
-                 params: Params) -> tuple[float, float, np.ndarray]:
+def _mprime_once(u: RadialProfile,
+                 params: Params) -> tuple[float, float, np.ndarray, float]:
+    """Primal and dual M' on u's grid, d_omega u, and the discrete |u|^2."""
     op = assemble(u, params, ell=0, kind=KIND_LPLUS)
     u_r = op.restrict(u.values)
     w = op.solve(-u_r)
     primal = 2.0 * op.inner(u_r, w)
     ctx = transform.TransformContext(params.delta)
-    op_d = assemble(u, params, ell=0, kind=KIND_DUAL, v=v)
-    eta = op_d.restrict(u.values * transform.r_prime(v.values, ctx))
+    op_d = assemble(u, params, ell=0, kind=KIND_DUAL)
+    # eta = d_omega v of the dual problem's source: u r'(v) = u / h'(u)
+    eta = op_d.restrict(u.values / transform.h_prime(u.values, ctx))
     phi = op_d.solve(-eta)
     dual = 2.0 * op_d.inner(eta, phi)
-    return primal, dual, w
+    return primal, dual, w, op.inner(u_r, u_r)
 
 
-def mprime_resolvent(u: RadialProfile, v: RadialProfile, params: Params,
+def mprime_resolvent(u: RadialProfile, params: Params,
                      check_tol: float = 5e-3,
                      richardson: bool = True,
                      near_singular_tol: float = 0.01) -> MprimeResult:
@@ -297,20 +297,16 @@ def mprime_resolvent(u: RadialProfile, v: RadialProfile, params: Params,
     resonance deep in the critical regime.  The same error is raised when
     the two variable routes disagree beyond check_tol.
     """
-    primal, dual, w = _mprime_once(u, v, params)
+    primal, dual, w, mass = _mprime_once(u, params)
     if richardson:
-        u2, v2 = coarsen_profile(u), coarsen_profile(v)
-        p2, d2, _ = _mprime_once(u2, v2, params)
-        p3, d3, _ = _mprime_once(coarsen_profile(u2), coarsen_profile(v2),
-                                 params)
+        u2 = coarsen_profile(u)
+        p2, d2, _, _ = _mprime_once(u2, params)
+        p3, _, _, _ = _mprime_once(coarsen_profile(u2), params)
         extrap = (4.0 * primal - p2) / 3.0
         extrap_coarse = (4.0 * p2 - p3) / 3.0
         # M' can legitimately cross zero (folds of the mass curve); the
         # error scale is then set by M/omega rather than |M'| itself
-        op = assemble(u, params, ell=0, kind=KIND_LPLUS)
-        u_r = op.restrict(u.values)
-        mass_scale = op.inner(u_r, u_r) / max(params.omega, 1e-300)
-        scale = max(abs(extrap), 0.05 * mass_scale)
+        scale = max(abs(extrap), 0.05 * mass / max(params.omega, 1e-300))
         est = abs(extrap - extrap_coarse) / scale
         if est > near_singular_tol:
             raise NearSingular(
@@ -500,7 +496,7 @@ def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
     u_r = op_m0.restrict(u.values)
     cosine = abs(op_m0.inner(vec0, u_r)) / (op_m0.norm(vec0) * op_m0.norm(u_r))
 
-    mp = mprime_resolvent(u, v, params)
+    mp = mprime_resolvent(u, params)
     if d.mass is None:
         raise InvalidParams("spectral report needs a finite mass")
     mat = matrix_l(u, v, params, mp.primal, d.mass, d.dirichlet,

@@ -7,8 +7,7 @@ With coupling delta > 0, v = h(u) turns the quasilinear equation into
 
 whose derivative is h'(t) = sqrt(1 + 2*delta*t^2), so the inverse r = h^{-1}
 satisfies r'(s) = 1/sqrt(1 + 2*delta*r(s)^2), r(0) = 0, extended to s < 0 as
-an odd function.  r is evaluated by a safeguarded Newton iteration on
-h(x) = s; the negative branch always goes through sign symmetry.
+an odd function.
 
 The dual nonlinearity is f_omega(s) = r'(s) * P_omega(r(s)) with
 P_omega(tau) = |tau|^(p-1)*tau - omega*tau, its primitive is
@@ -16,6 +15,16 @@ F_omega(s) = |r(s)|^(p+1)/(p+1) - omega*r(s)^2/2, and
 
     f_omega'(s) = r''(s)*P_omega(r(s)) + r'(s)^2 * P_omega'(r(s)),
     r''(s) = -2*delta*r(s)*r'(s)^4.
+
+Every one of these is a closed-form function of u = r(s): the *_u forms
+(f_omega_u, F_omega_u, f_omega_prime_u, h_prime) take u, and the solver,
+the quadrature and the spectral assembly evaluate them on u directly.  The
+inverse r itself has no closed form; it is evaluated by a safeguarded
+Newton iteration on h(x) = s (the negative branch always goes through sign
+symmetry) and is left for the few places that start from a value of v: the
+launch height and the event thresholds of each trajectory, the analytic
+tail of the dual profile, the warm-start guess, and the check of the
+transform algebra in the solver's equivalence residual.
 
 delta = 0 degenerates to the identity transform (r(s) = s), which serves as
 the plain-NLS oracle.
@@ -129,46 +138,58 @@ def r(s, ctx: TransformContext):
     return sign * x
 
 
+def h_prime(u, ctx: TransformContext):
+    """h'(u) = sqrt(1 + 2*delta*u^2) >= 1, so r'(h(u)) = 1/h'(u)."""
+    out = np.sqrt(1.0 + 2.0 * ctx.delta * np.square(u))
+    return out if np.ndim(out) else float(out)
+
+
 def r_prime(s, ctx: TransformContext):
     """r'(s) = (1 + 2*delta*r(s)^2)^(-1/2); lies in (0, 1]."""
-    rr = r(s, ctx)
-    out = 1.0 / np.sqrt(1.0 + 2.0 * ctx.delta * np.square(rr))
-    return out if np.ndim(out) else float(out)
+    return 1.0 / h_prime(r(s, ctx), ctx)
 
 
 def r_second(s, ctx: TransformContext):
     """r''(s) = -2*delta*r(s)*r'(s)^4; nonpositive for s >= 0."""
     rr = r(s, ctx)
-    rp = 1.0 / np.sqrt(1.0 + 2.0 * ctx.delta * np.square(rr))
-    out = -2.0 * ctx.delta * rr * rp ** 4
+    return -2.0 * ctx.delta * rr * (1.0 / h_prime(rr, ctx)) ** 4
+
+
+def f_omega_u(u, omega: float, p: float, ctx: TransformContext):
+    """f_omega(h(u)) = (|u|^(p-1) u - omega u) / h'(u), closed form in u."""
+    out = (np.abs(u) ** (p - 1.0) * u - omega * u) / h_prime(u, ctx)
+    return out if np.ndim(out) else float(out)
+
+
+def F_omega_u(u, omega: float, p: float):
+    """F_omega(h(u)) = |u|^(p+1)/(p+1) - omega*u^2/2, closed form in u."""
+    out = np.abs(u) ** (p + 1.0) / (p + 1.0) - 0.5 * omega * np.square(u)
+    return out if np.ndim(out) else float(out)
+
+
+def f_omega_prime_u(u, omega: float, p: float, ctx: TransformContext):
+    """f_omega'(h(u)) = r'' P_omega(u) + (r')^2 P_omega'(u), closed form in u."""
+    rp2 = 1.0 / (1.0 + 2.0 * ctx.delta * np.square(u))
+    rpp = -2.0 * ctx.delta * u * rp2 * rp2
+    p_val = np.abs(u) ** (p - 1.0) * u - omega * u
+    p_der = p * np.abs(u) ** (p - 1.0) - omega
+    out = rpp * p_val + rp2 * p_der
     return out if np.ndim(out) else float(out)
 
 
 def f_omega(s, omega: float, p: float, ctx: TransformContext):
     """Dual nonlinearity f_omega(s) = r'(s) * (|r|^(p-1) r - omega r)(s)."""
-    rr = r(s, ctx)
-    rp = 1.0 / np.sqrt(1.0 + 2.0 * ctx.delta * np.square(rr))
-    out = rp * (np.abs(rr) ** (p - 1.0) * rr - omega * rr)
-    return out if np.ndim(out) else float(out)
+    return f_omega_u(r(s, ctx), omega, p, ctx)
 
 
 def F_omega(s, omega: float, p: float, ctx: TransformContext):
     """Primitive of f_omega: |r(s)|^(p+1)/(p+1) - omega*r(s)^2/2."""
-    rr = r(s, ctx)
-    out = np.abs(rr) ** (p + 1.0) / (p + 1.0) - 0.5 * omega * np.square(rr)
-    return out if np.ndim(out) else float(out)
+    return F_omega_u(r(s, ctx), omega, p)
 
 
 def f_omega_prime(s, omega: float, p: float, ctx: TransformContext):
     """f_omega'(s) = r'' P_omega(r) + (r')^2 P_omega'(r)."""
-    rr = r(s, ctx)
-    rp2 = 1.0 / (1.0 + 2.0 * ctx.delta * np.square(rr))
-    rp = np.sqrt(rp2)
-    rpp = -2.0 * ctx.delta * rr * rp2 * rp2
-    p_val = np.abs(rr) ** (p - 1.0) * rr - omega * rr
-    p_der = p * np.abs(rr) ** (p - 1.0) - omega
-    out = rpp * p_val + rp2 * p_der
-    return out if np.ndim(out) else float(out)
+    return f_omega_prime_u(r(s, ctx), omega, p, ctx)
 
 
 def s_star(omega: float, p: float, ctx: TransformContext) -> float:
@@ -182,48 +203,3 @@ def s_star(omega: float, p: float, ctx: TransformContext) -> float:
         return 0.0
     tau = ((p + 1.0) * omega / 2.0) ** (1.0 / (p - 1.0))
     return float(h(tau, ctx))
-
-
-def make_scalar_f_omega(omega: float, p: float, ctx: TransformContext):
-    """Fast scalar closure for ODE right-hand sides (pure math ops)."""
-    if ctx.is_identity:
-        pm1 = p - 1.0
-
-        def f_nls(s: float) -> float:
-            return abs(s) ** pm1 * s - omega * s
-
-        return f_nls
-
-    d = ctx.delta
-    tol = ctx.newton_tol
-    maxit = ctx.max_newton_iter
-    quarter = (2.0 / d) ** 0.25
-    s2d = math.sqrt(2.0 * d)
-    pm1 = p - 1.0
-
-    def f(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        sign = 1.0
-        if s < 0.0:
-            sign, s = -1.0, -s
-        x = min(s, quarter * math.sqrt(s))
-        lo, hi = 0.0, s
-        for _ in range(maxit):
-            root = math.sqrt(1.0 + 2.0 * d * x * x)
-            g = 0.5 * x * root + math.asinh(s2d * x) / (2.0 * s2d) - s
-            if g > 0.0:
-                hi = x
-            else:
-                lo = x
-            xn = x - g / root
-            if not (lo < xn < hi):
-                xn = 0.5 * (lo + hi)
-            if abs(xn - x) <= tol * max(1.0, xn):
-                x = xn
-                break
-            x = xn
-        rp = 1.0 / math.sqrt(1.0 + 2.0 * d * x * x)
-        return sign * rp * (x ** pm1 * x - omega * x)
-
-    return f

@@ -255,7 +255,7 @@ def test_criterion_5_subcritical_expansion(sub_branch):
     assert result["intercept_rel_err"] < 0.01
     for dim, p, sign in SIGN_SAMPLE:
         rep = solve_ground_state(Params(dim, p, 1.0, 2 ** -8))
-        mp = mprime_resolvent(rep.u, rep.v, rep.params)
+        mp = mprime_resolvent(rep.u, rep.params)
         assert math.copysign(1, mp.primal) == sign, (dim, p)
     _report(5, "subcritical expansion", time.time() - t0,
             f"correction coefficient within "

@@ -102,6 +102,25 @@ class TestFitCommand:
         # M ~ omega^{-1/2} for the delta = 0, N = 3, p = 3 branch
         assert payload["mass_fit"]["exponent"] == pytest.approx(-0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("content", [
+        None,                                  # no file at all
+        "omega,M\n1.0,2.0\n",                  # columns missing
+        "omega,M,Mprime_fd,Mprime_res,T,beta,Qgrad,E,m_omega,lambda\n"
+        "1.0,abc,nan,nan,1,1,1,1,nan,nan\n",   # a cell that is no number
+        "omega,M,Mprime_fd,Mprime_res,T,beta,Qgrad,E,m_omega,lambda\n"
+        "1.0,2.0\n",                           # a short row
+        "omega,M,Mprime_fd,Mprime_res,T,beta,Qgrad,E,m_omega,lambda\n",
+    ], ids=["missing", "columns", "cell", "short-row", "no-points"])
+    def test_bad_branch_csv_is_a_typed_error(self, tmp_path, capsys, content):
+        path = tmp_path / "branch.csv"
+        if content is not None:
+            path.write_text(content)
+        code = main(["fit", "--branch", str(path), "--dim", "3", "--p", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
 
 class TestVerifyCommand:
     def test_reduced_ladder_runs_and_reports(self, tmp_path, capsys):

@@ -162,7 +162,7 @@ class TestLevel:
             assert quotient == pytest.approx(sobolev_constant(dim), rel=1e-8)
 
     def test_level_cross_check(self, crit3):
-        val = level_m_omega(crit3.v, crit3.params)
+        val = level_m_omega(crit3.u, crit3.v, crit3.params)
         assert val == pytest.approx(crit3.m_omega, rel=1e-12)
 
     def test_level_above_sobolev_constant(self, crit3):
@@ -171,7 +171,7 @@ class TestLevel:
 
     def test_dimension_two_rejected(self, townes):
         with pytest.raises(InvalidParams):
-            level_m_omega(townes.v, townes.params)
+            level_m_omega(townes.u, townes.v, townes.params)
 
 
 class TestAppendixChecks:

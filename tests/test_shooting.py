@@ -170,6 +170,67 @@ class TestReports:
         assert d["pohozaev_residual"] < 1e-6
 
 
+class TestDualState:
+    """Trajectories integrate (u, v') with v = h(u); r = h^{-1} is never
+    evaluated on the ODE right-hand side."""
+
+    def test_inverse_of_h_off_the_rhs(self, monkeypatch):
+        from qground import shooting, transform
+
+        counts = {"r": 0, "h_scalar": 0, "integrations": 0, "rhs": 0}
+        r_scalar, r_vector, ivp = (transform.r_scalar, transform.r,
+                                   shooting.solve_ivp)
+
+        def count_r_scalar(*args, **kwargs):
+            counts["r"] += 1
+            return r_scalar(*args, **kwargs)
+
+        def count_r_vector(*args, **kwargs):
+            counts["r"] += 1
+            return r_vector(*args, **kwargs)
+
+        def count_ivp(*args, **kwargs):
+            sol = ivp(*args, **kwargs)
+            counts["integrations"] += 1
+            counts["rhs"] += sol.nfev
+            return sol
+
+        class CountingMath:
+            # every scalar evaluation of h inside transform goes through
+            # math.asinh, including a Newton loop inlined anywhere there
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def asinh(self, x):
+                counts["h_scalar"] += 1
+                return math.asinh(x)
+
+        monkeypatch.setattr(transform, "r_scalar", count_r_scalar)
+        monkeypatch.setattr(transform, "r", count_r_vector)
+        monkeypatch.setattr(transform, "math", CountingMath())
+        monkeypatch.setattr(shooting, "solve_ivp", count_ivp)
+        rep = solve_ground_state(Params(3, 2, 1.0, 1.0))
+        assert rep.accepted()
+        n = counts["integrations"]
+        assert n > 10
+        assert counts["rhs"] > 100 * n
+        assert counts["r"] <= 5 * n
+        assert counts["h_scalar"] <= 40 * n
+
+    def test_v_is_h_of_u(self, sub32, crit3, super53):
+        for rep in (sub32, crit3, super53):
+            ctx = TransformContext(rep.params.delta)
+            err = np.max(np.abs(h(rep.u.values, ctx) - rep.v.values))
+            assert err <= 1e-14 * rep.v.values[0]
+
+    def test_heights_pinned(self, sub32, crit3, super53):
+        # the heights given by integrating (v, v'), at the default config
+        for rep, height in ((sub32, 5.92681009138626),
+                            (crit3, 1.51394383787257),
+                            (super53, 2.76245534379522)):
+            assert rep.shooting_height == pytest.approx(height, rel=1e-10)
+
+
 class TestZeroMass:
     def test_supercritical_only(self):
         with pytest.raises(NoGroundState):

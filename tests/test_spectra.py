@@ -19,7 +19,7 @@ class TestAssembly:
     def test_delta_zero_reduction(self, nls33):
         # at delta = 0 both L+ and the dual operator are -Lap - pQ^{p-1} + w
         op_p = assemble(nls33.u, nls33.params, ell=0, kind="L+")
-        op_d = assemble(nls33.u, nls33.params, ell=0, kind="dual", v=nls33.v)
+        op_d = assemble(nls33.u, nls33.params, ell=0, kind="dual")
         assert np.allclose(op_p.diag, op_d.diag, rtol=1e-12)
         assert np.allclose(op_p.off, op_d.off, rtol=1e-12)
 
@@ -66,7 +66,7 @@ class TestAssembly:
         rp = r_prime(crit3.v.values, ctx)
         rng = np.random.default_rng(7)
         op_p = assemble(crit3.u, params, ell=0, kind="L+")
-        op_d = assemble(crit3.u, params, ell=0, kind="dual", v=crit3.v)
+        op_d = assemble(crit3.u, params, ell=0, kind="dual")
         rho = crit3.u.grid.nodes
         worst = 0.0
         for _ in range(20):
@@ -93,7 +93,7 @@ class TestAssembly:
             rho = rep.u.grid.nodes
             w = np.exp(-0.7 * rho ** 2) * (1.0 + 0.2 * rho)
             op_p = assemble(rep.u, rep.params, ell=0, kind="L+")
-            op_d = assemble(rep.u, rep.params, ell=0, kind="dual", v=rep.v)
+            op_d = assemble(rep.u, rep.params, ell=0, kind="dual")
             lhs = op_p.apply(op_p.restrict(w))
             rhs = op_d.apply(op_d.restrict(w / rp)) / op_p.restrict(rp)
             # skip the first few cells: their pointwise consistency is
@@ -152,7 +152,7 @@ class TestSpectrum:
 class TestMprime:
     def test_nls_closed_form(self, nls33):
         # M_NLS = omega^{-1/2} |Q|_2^2, so M'(1) = -M(1)/2
-        mp = mprime_resolvent(nls33.u, nls33.v, nls33.params)
+        mp = mprime_resolvent(nls33.u, nls33.params)
         expected = -0.5 * nls33.diagnostics.mass
         assert mp.primal == pytest.approx(expected, rel=1e-3)
         assert mp.dual == pytest.approx(mp.primal, rel=1e-12)  # same operator
@@ -162,20 +162,20 @@ class TestMprime:
         # for refinement at 1024 and is satisfied at 2048
         with pytest.raises(NearSingular):
             rep = solve_ground_state(Params(3, 3, 0.0, 4.0))
-            mprime_resolvent(rep.u, rep.v, rep.params)
+            mprime_resolvent(rep.u, rep.params)
         rep = solve_ground_state(Params(3, 3, 0.0, 4.0),
                                  ShootingConfig(resolution=2048))
-        mp = mprime_resolvent(rep.u, rep.v, rep.params)
+        mp = mprime_resolvent(rep.u, rep.params)
         expected = -0.5 * rep.diagnostics.mass / 4.0
         assert mp.primal == pytest.approx(expected, rel=2e-3)
 
     def test_mass_critical_derivative_vanishes(self, townes):
-        mp = mprime_resolvent(townes.u, townes.v, townes.params)
+        mp = mprime_resolvent(townes.u, townes.params)
         assert abs(mp.primal) < 1e-3 * townes.diagnostics.mass
 
     def test_mass_subcritical_increasing(self):
         rep = solve_ground_state(Params(3, 2, 1.0, 2.0 ** -8))
-        mp = mprime_resolvent(rep.u, rep.v, rep.params)
+        mp = mprime_resolvent(rep.u, rep.params)
         assert mp.primal > 0
 
     def test_mass_critical_quasilinear_limit(self):
@@ -185,11 +185,11 @@ class TestMprime:
         # exactly delta |grad(Q^2)|^2, with |grad(Q^2)|^2 = 63.5712 for the
         # Townes profile per tests/oracle.py)
         rep = solve_ground_state(Params(2, 3, 1.0, 2.0 ** -12))
-        mp = mprime_resolvent(rep.u, rep.v, rep.params)
+        mp = mprime_resolvent(rep.u, rep.params)
         assert mp.primal == pytest.approx(63.57117132385548, rel=0.005)
 
     def test_dual_route_agreement(self, crit3):
-        mp = mprime_resolvent(crit3.u, crit3.v, crit3.params)
+        mp = mprime_resolvent(crit3.u, crit3.params)
         assert mp.agreement() < 5e-3
 
 
@@ -209,7 +209,7 @@ class TestMatrixL:
         # at critical p the generic and beta-form entries coincide through
         # the integral identities
         d = crit3.diagnostics
-        mp = mprime_resolvent(crit3.u, crit3.v, crit3.params)
+        mp = mprime_resolvent(crit3.u, crit3.params)
         generic = matrix_l_closed_form(crit3.params, mp.primal, d.mass,
                                        d.dirichlet, d.quasi_grad, d.potential)
         special = matrix_l_critical_form(crit3.params, mp.primal, d.mass,
