@@ -15,8 +15,7 @@ from .asymptotics import (AubinTalenti, FitResult, MassCurvePoint,
                           energy_limit_check, extract_lambda, fit_power_law,
                           subcritical_expansion_check,
                           supercritical_limit_check)
-from .branch import (BranchStore, SweepPlan, geometric_ladder, mprime_fd,
-                     run_sweep)
+from .branch import BranchStore, SweepPlan, geometric_ladder, run_sweep
 from .errors import (AmbiguousTrajectory, BracketFailure, ConstraintViolated,
                      Divergent, EntryMismatch, InsufficientNeighbors,
                      InsufficientWindow, InvalidParams, NearSingular,

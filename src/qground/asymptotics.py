@@ -337,6 +337,21 @@ def subcritical_expansion_check(points: Sequence[MassCurvePoint],
     }
 
 
+def _mprime_trend(window: Sequence[MassCurvePoint]) -> dict:
+    """M' < 0 and |M'| increasing toward omega = 0 over a window of points,
+    from the resolvent M' where it exists and the finite difference
+    otherwise."""
+    known = []
+    for q in window:
+        mp = q.mprime_res if q.mprime_res is not None else q.mprime_fd
+        if mp is not None:
+            known.append((q.omega, mp))
+    mags = [abs(mp) for _, mp in sorted(known, key=lambda t: -t[0])]
+    return {"mprime_all_negative": all(mp < 0 for _, mp in known),
+            "mprime_magnitude_increasing": all(
+                b > a for a, b in zip(mags, mags[1:]))}
+
+
 def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
                             last_profile: Optional[RadialProfile] = None,
                             fit_count: int = 8,
@@ -383,14 +398,7 @@ def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
     # the monotonicity statements hold in a neighborhood of omega = 0, so
     # they are checked on the asymptotic window: the mass curve may
     # genuinely turn around at moderate omega
-    window = pts[:k]
-    mprime = [q.mprime_res if q.mprime_res is not None else q.mprime_fd
-              for q in window]
-    known = [(q.omega, mp) for q, mp in zip(window, mprime) if mp is not None]
-    out["mprime_all_negative"] = all(mp < 0 for _, mp in known)
-    mags = [abs(mp) for _, mp in sorted(known, key=lambda t: -t[0])]
-    out["mprime_magnitude_increasing"] = all(
-        b > a for a, b in zip(mags, mags[1:]))
+    out.update(_mprime_trend(pts[:k]))
     product = np.sqrt(w) * lam
     out["lambda_sqrt_omega_decreasing"] = bool(
         np.all(np.diff(product) >= 0))   # increasing in omega = decreasing down the ladder
@@ -427,14 +435,7 @@ def supercritical_limit_check(points: Sequence[MassCurvePoint], u0_report,
         out["mass_limit_rel_err"] = abs(m_limit - u0_mass) / u0_mass
     else:
         out["mass_growth_factor"] = float(mass[0] / mass[-1])
-    window = pts[:min(fit_count, len(pts))]
-    mprime = [q.mprime_res if q.mprime_res is not None else q.mprime_fd
-              for q in window]
-    known = [(q.omega, mp) for q, mp in zip(window, mprime) if mp is not None]
-    out["mprime_all_negative"] = all(mp < 0 for _, mp in known)
-    mags = [abs(mp) for _, mp in sorted(known, key=lambda t: -t[0])]
-    out["mprime_magnitude_increasing"] = all(
-        b > a for a, b in zip(mags, mags[1:]))
+    out.update(_mprime_trend(pts[:fit_count]))
     return out
 
 

@@ -298,19 +298,6 @@ def _fill_mprime_fd(store: BranchStore) -> None:
         rec.point = replace(rec.point, mprime_fd=fd)
 
 
-def mprime_fd(store: BranchStore, omega: float) -> float:
-    """Centered finite-difference M'(omega) at a ladder point."""
-    recs = sorted((r for r in store.records()
-                   if r.accepted and r.point.mass is not None),
-                  key=lambda r: r.point.omega)
-    omegas = [r.point.omega for r in recs]
-    masses = [r.point.mass for r in recs]
-    for i, w in enumerate(omegas):
-        if math.isclose(w, omega, rel_tol=1e-12):
-            return ladder_derivative(omegas, masses, i)
-    raise InsufficientNeighbors(f"omega = {omega} is not an interior ladder point")
-
-
 def energy_identity_check(params: Params, resolution: int = 1024,
                           ratio: float = 0.95, width: int = 5) -> float:
     """Relative residual of E'(omega) = -(omega/2) M'(omega) at one point.

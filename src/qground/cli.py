@@ -9,15 +9,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import asymptotics, branch, spectra
 from .errors import InvalidParams, QGroundError
 from .integrals import sobolev_constant
-from .params import Params, classify
-from .shooting import ShootingConfig, solve_ground_state
+from .params import MASS_SUBCRITICAL, Params, classify
+from .shooting import ShootingConfig, nls_ground_state, solve_ground_state
 from .branch import BranchStore, SweepPlan, default_out_dir, geometric_ladder
 
 
@@ -168,153 +169,171 @@ def _cmd_spectrum(args) -> int:
 # verification gates
 # ---------------------------------------------------------------------------
 
-def _gate(gates: dict, name: str, value, passed: bool) -> None:
-    gates[name] = {"value": value, "pass": bool(passed)}
+def _critical_p(dim: int) -> Fraction:
+    # (N+2)/(N-2) depends on N alone; p = 2 is admissible for every N >= 2
+    p = Params(dim, 2, 0.0, 1.0).p_critical()
+    if p is None:
+        raise InvalidParams("the critical regime needs N >= 3")
+    return p
 
 
-def _default_ladder(regime: str, dim: int = 3) -> tuple[float, ...]:
-    """Ladders deep enough for the asymptotic windows of each regime.
+def _check_sub(plan: SweepPlan, store: BranchStore, params: Params):
+    """Second-order expansion against Q, and the sign of M' by p vs 1 + 4/N."""
+    q_rep = nls_ground_state(plan.dim, plan.p, plan.resolution)
+    expansion = asymptotics.subcritical_expansion_check(
+        store.points(), q_rep, params)
+    mprime = min(store.points(), key=lambda q: q.omega).mprime_res
+    increasing = classify(params).mass_tag == MASS_SUBCRITICAL
+    sign_ok = mprime is not None and (mprime > 0 if increasing else mprime < 0)
+    corr, icpt = expansion["correction_rel_err"], expansion["intercept_rel_err"]
+    return expansion, [
+        ("correction_coefficient_5pct", corr, corr < 0.05),
+        ("intercept_matches_Q_mass", icpt, icpt < 0.01),
+        ("mprime_sign_near_zero", mprime, sign_ok)], None
 
-    The critical floors are dimension-specific: the approach to the limit
-    laws decays like omega^{1/4} for N = 3, (omega log(1/omega))^{1/2} for
-    N = 4 and omega^{2/5} for N = 5, which sets how far the ladder must go
-    before the fitted exponents and the bubble distance reach their gates.
+
+#: (gate, fit, {N: (exponent, tolerance)}) for the critical power laws
+_CRIT_SLOPES = (
+    ("mass_slope", "mass_fit", {3: (-0.75, 0.04), 5: (-0.4, 0.02)}),
+    ("lambda_slope", "lambda_fit", {3: (-0.25, 0.02), 5: (-0.2, 0.02)}),
+    ("level_gap_slope", "gap_fit", {3: (0.25, 0.05)}),
+)
+
+
+def _check_crit(plan: SweepPlan, store: BranchStore, params: Params):
+    """Power laws of M, lambda and the level gap, the M' trend and the
+    distance of the deepest profile to the Aubin-Talenti bubble."""
+    reports = store.reports()
+    crit = asymptotics.critical_scaling_report(
+        store.points(), params, last_profile=reports[-1].u if reports else None)
+    gates = []
+    for name, fit, laws in _CRIT_SLOPES:
+        if plan.dim in laws:
+            target, tol = laws[plan.dim]
+            slope = crit[fit].exponent
+            gates.append((name, slope, abs(slope - target) < tol))
+    if plan.dim == 4:
+        gates += [("mass_log_model_preferred", None, crit["mass_log_preferred"]),
+                  ("lambda_log_model_preferred", None,
+                   crit["lambda_log_preferred"])]
+    gates.append(("mprime_negative_and_diverging", None,
+                  crit["mprime_all_negative"]
+                  and crit["mprime_magnitude_increasing"]))
+    if "bubble_distance" in crit:
+        dist = crit["bubble_distance"]
+        gates.append(("bubble_distance_1e-2", dist, dist < 1e-2))
+    block = {k: (v.__dict__ if isinstance(v, asymptotics.FitResult) else v)
+             for k, v in crit.items()}
+    return block, gates, None
+
+
+def _check_super(plan: SweepPlan, store: BranchStore, params: Params):
+    """omega M -> 0, the mass limit against the zero-mass solution (N >= 5)
+    or unbounded growth (N < 5), and det L < 0 on every point."""
+    u0 = solve_ground_state(params.with_omega(0.0),
+                            ShootingConfig(resolution=plan.resolution))
+    sup = asymptotics.supercritical_limit_check(store.points(), u0, params)
+    if plan.dim >= 5:
+        mass_gate = ("mass_limit_2pct", sup["mass_limit_rel_err"],
+                     sup["mass_limit_rel_err"] < 0.02)
+    else:
+        mass_gate = ("mass_growth", sup["mass_growth_factor"],
+                     sup["mass_growth_factor"] > 3.0)
+    dets = [r.spectral.matrix.det for r in store.records()
+            if r.spectral is not None]
+    return sup, [
+        ("omega_mass_to_zero_monotone", None,
+         sup["omega_mass_to_zero_monotone"]),
+        mass_gate,
+        ("det_L_negative", max(dets) if dets else None,
+         bool(dets) and all(d < 0 for d in dets))], u0
+
+
+@dataclass(frozen=True)
+class _RegimeSpec:
+    """Defaults and checks of one omega -> 0 regime.
+
+    `check(plan, store, params)` returns the regime's result block, its
+    gates as (name, value, passed) and the zero-mass solve (or None) that
+    the energy limit needs.
     """
-    if regime == "sub":
-        return geometric_ladder(2.0 ** -6, 2.0 ** -14, 0.5)
-    if regime == "crit":
-        floor = {3: 2.0 ** -26, 4: 2.0 ** -28, 5: 2.0 ** -24}.get(dim, 2.0 ** -16)
-        return geometric_ladder(2.0 ** -4, floor, 0.5)
-    return geometric_ladder(2.0 ** -4, 2.0 ** -16, 0.5)
+
+    block: str                  # key of the check's block in the result
+    dim: int
+    p: Callable[[int], Fraction]
+    ladder: Callable[[int], tuple[float, ...]]
+    resolution: int
+    with_spectra: bool
+    energy_gate: bool           # gate the energy limit at 3 %
+    check: Callable
+
+
+#: critical ladder floors per N: the approach to the limit laws decays like
+#: omega^{1/4} for N = 3, (omega log(1/omega))^{1/2} for N = 4 and
+#: omega^{2/5} for N = 5, which sets how far the ladder must go before the
+#: fitted exponents and the bubble distance reach their gates
+_CRIT_FLOORS = {3: 2.0 ** -26, 4: 2.0 ** -28, 5: 2.0 ** -24}
+
+_REGIMES = {
+    "sub": _RegimeSpec(
+        block="expansion", dim=3, p=lambda dim: Fraction(2),
+        ladder=lambda dim: geometric_ladder(2.0 ** -6, 2.0 ** -14, 0.5),
+        resolution=1024, with_spectra=False, energy_gate=False,
+        check=_check_sub),
+    # the deepest critical points need the finer quadrature to hold the
+    # 1e-6 variational cross-check
+    "crit": _RegimeSpec(
+        block="critical", dim=3, p=_critical_p,
+        ladder=lambda dim: geometric_ladder(
+            2.0 ** -4, _CRIT_FLOORS.get(dim, 2.0 ** -16), 0.5),
+        resolution=2048, with_spectra=False, energy_gate=True,
+        check=_check_crit),
+    "super": _RegimeSpec(
+        block="supercritical", dim=5, p=lambda dim: Fraction(3),
+        ladder=lambda dim: geometric_ladder(2.0 ** -4, 2.0 ** -16, 0.5),
+        resolution=1024, with_spectra=True, energy_gate=True,
+        check=_check_super),
+}
 
 
 def verify_regime(regime: str, dim: Optional[int], p, delta: float,
-                  omegas: Optional[tuple[float, ...]], resolution: int,
-                  jobs: int) -> dict:
-    """Run the per-regime checks and collect named pass/fail gates."""
-    gates: dict = {}
-    result: dict = {"schema": 1, "regime": regime, "gates": gates}
-    if resolution is None:
-        # the deepest critical points need the finer quadrature to hold the
-        # 1e-6 variational cross-check
-        resolution = 2048 if regime == "crit" else 1024
-    if regime == "sub":
-        dim = dim if dim is not None else 3
-        p = p if p is not None else Fraction(2)
-        omegas = omegas or _default_ladder("sub", dim)
-        plan = SweepPlan(dim=dim, p=p, delta=delta, omegas=omegas,
-                         resolution=resolution, jobs=jobs, tag="verify-sub")
-        store = branch.run_sweep(plan)
-        params = plan.params_at(omegas[0])
-        from .shooting import nls_ground_state
-        q_rep = nls_ground_state(dim, p, resolution)
-        expansion = asymptotics.subcritical_expansion_check(
-            store.points(), q_rep, params)
-        result["expansion"] = expansion
-        _gate(gates, "correction_coefficient_5pct",
-              expansion["correction_rel_err"],
-              expansion["correction_rel_err"] < 0.05)
-        _gate(gates, "intercept_matches_Q_mass",
-              expansion["intercept_rel_err"],
-              expansion["intercept_rel_err"] < 0.01)
-        energy = asymptotics.energy_limit_check(store.points(), params)
-        result["energy"] = energy
-        mid = omegas[len(omegas) // 2]
-        ident = branch.energy_identity_check(params.with_omega(mid),
-                                             resolution=resolution)
-        _gate(gates, "energy_identity_1pct", ident, ident < 0.01)
-        mass_cmp = params.p_exact <= params.p_mass_critical() \
-            if params.p_exact is not None \
-            else params.p <= float(params.p_mass_critical())
-        smallest = min(store.points(), key=lambda q: q.omega)
-        sign_ok = (smallest.mprime_res > 0) if mass_cmp \
-            else (smallest.mprime_res < 0)
-        _gate(gates, "mprime_sign_near_zero", smallest.mprime_res, sign_ok)
-    elif regime == "crit":
-        dim = dim if dim is not None else 3
-        if p is None:
-            p = Fraction(dim + 2, dim - 2)
-        omegas = omegas or _default_ladder("crit", dim)
-        plan = SweepPlan(dim=dim, p=p, delta=delta, omegas=omegas,
-                         resolution=resolution, jobs=jobs, tag="verify-crit")
-        store = branch.run_sweep(plan)
-        params = plan.params_at(omegas[0])
-        reports = store.reports()
-        last_u = reports[-1].u if reports else None
-        crit = asymptotics.critical_scaling_report(
-            store.points(), params, last_profile=last_u)
-        result["critical"] = {
-            k: (v.__dict__ if isinstance(v, asymptotics.FitResult) else v)
-            for k, v in crit.items()}
-        slopes = {3: (-0.75, 0.04), 5: (-0.4, 0.02)}
-        if dim in slopes:
-            target, tol = slopes[dim]
-            err = abs(crit["mass_fit"].exponent - target)
-            _gate(gates, "mass_slope", crit["mass_fit"].exponent, err < tol)
-        lam_slopes = {3: (-0.25, 0.02), 5: (-0.2, 0.02)}
-        if dim in lam_slopes:
-            target, tol = lam_slopes[dim]
-            err = abs(crit["lambda_fit"].exponent - target)
-            _gate(gates, "lambda_slope", crit["lambda_fit"].exponent, err < tol)
-        if dim == 3:
-            err = abs(crit["gap_fit"].exponent - 0.25)
-            _gate(gates, "level_gap_slope", crit["gap_fit"].exponent, err < 0.05)
-        if dim == 4:
-            _gate(gates, "mass_log_model_preferred", None,
-                  crit["mass_log_preferred"])
-            _gate(gates, "lambda_log_model_preferred", None,
-                  crit["lambda_log_preferred"])
-        _gate(gates, "mprime_negative_and_diverging", None,
-              crit["mprime_all_negative"]
-              and crit["mprime_magnitude_increasing"])
-        if "bubble_distance" in crit:
-            _gate(gates, "bubble_distance_1e-2", crit["bubble_distance"],
-                  crit["bubble_distance"] < 1e-2)
-        energy = asymptotics.energy_limit_check(store.points(), params)
-        result["energy"] = energy
-        _gate(gates, "energy_limit_3pct", energy["energy_limit_rel_err"],
-              energy["energy_limit_rel_err"] < 0.03)
-        mid = omegas[len(omegas) // 2]
-        ident = branch.energy_identity_check(params.with_omega(mid),
-                                             resolution=resolution)
-        _gate(gates, "energy_identity_1pct", ident, ident < 0.01)
-    else:
-        dim = dim if dim is not None else 5
-        p = p if p is not None else Fraction(3)
-        omegas = omegas or _default_ladder("super", dim)
-        plan = SweepPlan(dim=dim, p=p, delta=delta, omegas=omegas,
-                         resolution=resolution, jobs=jobs, tag="verify-super",
-                         with_spectra=True)
-        store = branch.run_sweep(plan)
-        params = plan.params_at(omegas[0])
-        u0 = solve_ground_state(Params(dim, p, delta, 0.0),
-                                ShootingConfig(resolution=resolution))
-        sup = asymptotics.supercritical_limit_check(store.points(), u0, params)
-        result["supercritical"] = sup
-        _gate(gates, "omega_mass_to_zero_monotone", None,
-              sup["omega_mass_to_zero_monotone"])
-        if dim >= 5:
-            _gate(gates, "mass_limit_2pct", sup["mass_limit_rel_err"],
-                  sup["mass_limit_rel_err"] < 0.02)
-        else:
-            _gate(gates, "mass_growth", sup["mass_growth_factor"],
-                  sup["mass_growth_factor"] > 3.0)
-        dets = [r.spectral.matrix.det for r in store.records()
-                if r.spectral is not None]
-        _gate(gates, "det_L_negative", max(dets) if dets else None,
-              bool(dets) and all(d < 0 for d in dets))
-        energy = asymptotics.energy_limit_check(store.points(), params,
-                                                u0_report=u0)
-        result["energy"] = energy
-        _gate(gates, "energy_limit_3pct", energy["energy_limit_rel_err"],
-              energy["energy_limit_rel_err"] < 0.03)
-        mid = omegas[len(omegas) // 2]
-        ident = branch.energy_identity_check(params.with_omega(mid),
-                                             resolution=resolution)
-        _gate(gates, "energy_identity_1pct", ident, ident < 0.01)
-    result["passed"] = all(g["pass"] for g in gates.values())
-    result["store"] = store
-    return result
+                  omegas: Optional[tuple[float, ...]],
+                  resolution: Optional[int], jobs: int) -> dict:
+    """Sweep the regime's ladder and collect its named pass/fail gates.
+
+    Unset arguments take the regime's defaults from `_REGIMES`.  Every
+    regime runs the same pipeline: the sweep (tag verify-<regime>), the
+    regime's own checks, the energy limit (gated at 3 % where the regime
+    has a nonzero limit) and the identity E' = -(omega/2) M' at the middle
+    frequency (gated at 1 %).  Boolean gates carry value None.  The result
+    holds the gates, the regime's block, the energy block, `passed` and the
+    branch store.
+    """
+    spec = _REGIMES[regime]
+    dim = spec.dim if dim is None else dim
+    plan = SweepPlan(dim=dim, p=spec.p(dim) if p is None else p, delta=delta,
+                     omegas=omegas or spec.ladder(dim),
+                     resolution=spec.resolution if resolution is None
+                     else resolution,
+                     with_spectra=spec.with_spectra, jobs=jobs,
+                     tag=f"verify-{regime}")
+    store = branch.run_sweep(plan)
+    params = plan.params_at(plan.omegas[0])
+    block, checks, u0 = spec.check(plan, store, params)
+    energy = asymptotics.energy_limit_check(store.points(), params,
+                                            u0_report=u0)
+    if spec.energy_gate:
+        err = energy["energy_limit_rel_err"]
+        checks.append(("energy_limit_3pct", err, err < 0.03))
+    mid = plan.omegas[len(plan.omegas) // 2]
+    ident = branch.energy_identity_check(params.with_omega(mid),
+                                         resolution=plan.resolution)
+    checks.append(("energy_identity_1pct", ident, ident < 0.01))
+    gates = {name: {"value": value, "pass": bool(ok)}
+             for name, value, ok in checks}
+    return {"schema": 1, "regime": regime, "gates": gates, spec.block: block,
+            "energy": energy, "passed": all(g["pass"] for g in gates.values()),
+            "store": store}
 
 
 def _cmd_verify(args) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -45,7 +46,11 @@ def _parse_exponent(p: ExponentLike) -> tuple[float, Optional[Fraction]]:
     if isinstance(p, int):
         return float(p), Fraction(p)
     if isinstance(p, str):
-        frac = Fraction(p)
+        try:
+            frac = Fraction(p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidParams(f"exponent {p!r} is not a finite rational") \
+                from exc
         return float(frac), frac
     return float(p), None
 
@@ -75,6 +80,10 @@ class Params:
         self._validate()
 
     def _validate(self) -> None:
+        for name in ("p", "delta", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.dim < 2:
             raise InvalidParams(f"dim must be >= 2, got {self.dim}")
         if not self.p > 1:
@@ -225,7 +234,6 @@ class RadialGrid:
     xi: np.ndarray
     alpha: float
     r_max: float
-    spacing: str = "sinh"
 
     def __post_init__(self):
         self.nodes.setflags(write=False)

@@ -39,7 +39,6 @@ from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
-CONVERGING = "converging"
 
 #: start of integration; the (N-1)/rho singularity is bridged by a series
 START_RADIUS = 1e-4
@@ -87,14 +86,12 @@ def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
 
 
 def classify_trajectory(params: Params, *, crossed_zero: bool,
-                        turned_up: bool, rho: float, v: float, vp: float,
-                        s_star_val: float, matched: bool) -> str:
+                        turned_up: bool, rho: float, v: float, vp: float) -> str:
     """Classify a shooting trajectory's terminal state.
 
-    Overshoot: v crossed zero going down.  Undershoot: v' flipped positive
-    with v > 0, or the decay is slower than the connecting orbit's.
-    Converging: the trajectory reached the matching threshold on the
-    connecting orbit's slope.
+    Overshoot: v crossed zero going down, or at the last radius it decays
+    faster than the connecting orbit.  Undershoot: v' flipped positive with
+    v > 0, or the decay is slower than the connecting orbit's.
     """
     if crossed_zero:
         return OVERSHOOT
@@ -104,18 +101,12 @@ def classify_trajectory(params: Params, *, crossed_zero: bool,
         return OVERSHOOT
     n = params.dim
     if params.omega > 0.0:
-        kappa = math.sqrt(params.omega)
-        orbit_slope = kappa + (n - 1) / (2.0 * rho)
-        slope = -vp / v
-        if matched and abs(slope - orbit_slope) <= 0.2 * orbit_slope:
-            return CONVERGING
-        return UNDERSHOOT if slope < orbit_slope else OVERSHOOT
+        orbit_slope = math.sqrt(params.omega) + (n - 1) / (2.0 * rho)
+        return UNDERSHOOT if -vp / v < orbit_slope else OVERSHOOT
     # omega = 0: power-law dichotomy.  The connecting orbit decays like
     # rho^-(N-2); the slow branch like rho^(-2/(p-1)).  Split at the midpoint.
     slope = -rho * vp / v
     threshold = 0.5 * ((n - 2) + 2.0 / (params.p - 1.0))
-    if matched and abs(slope - (n - 2)) <= 0.2 * (n - 2):
-        return CONVERGING
     return UNDERSHOOT if slope < threshold else OVERSHOOT
 
 
@@ -187,20 +178,10 @@ class _Shooter:
         sol = self.integrate(a)
         crossed = sol.t_events[0].size > 0
         turned = sol.t_events[1].size > 0
-        matched = len(sol.t_events) > 2 and sol.t_events[2].size > 0
-        rho, vp = float(sol.t[-1]), float(sol.y[1, -1])
-        v = transform.h(sol.y[0, -1], self.ctx)
-        tag = classify_trajectory(
+        return classify_trajectory(
             self.params, crossed_zero=crossed, turned_up=turned,
-            rho=rho, v=v, vp=vp, s_star_val=self.s_star, matched=matched)
-        if tag == CONVERGING:
-            # during bisection a converging tag means the slope test sat on
-            # the fence; resolve the side by the sign of the slope defect
-            n = self.params.dim
-            kappa = math.sqrt(self.params.omega)
-            orbit = kappa + (n - 1) / (2.0 * rho)
-            tag = UNDERSHOOT if -vp / v < orbit else OVERSHOOT
-        return tag
+            rho=float(sol.t[-1]), v=transform.h(sol.y[0, -1], self.ctx),
+            vp=float(sol.y[1, -1]))
 
     # -- bracketing ---------------------------------------------------------
 

@@ -258,8 +258,7 @@ def coarsen_profile(profile: RadialProfile) -> RadialProfile:
     g = profile.grid
     coarse = RadialGrid(nodes=g.nodes[::2].copy(),
                         jacobian=g.jacobian[::2].copy(),
-                        xi=g.xi[::2].copy(), alpha=g.alpha, r_max=g.r_max,
-                        spacing=g.spacing)
+                        xi=g.xi[::2].copy(), alpha=g.alpha, r_max=g.r_max)
     return RadialProfile(grid=coarse, values=profile.values[::2].copy(),
                          derivative_values=profile.derivative_values[::2].copy(),
                          decay=profile.decay)
@@ -376,23 +375,20 @@ def matrix_l_critical_form(params: Params, mprime: float, mass: float,
     return np.array([[-0.5 * mprime, -m, 0.0], [-m, l22, l23], [0.0, l23, l33]])
 
 
-def matrix_l(u: RadialProfile, v: RadialProfile, params: Params,
+def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
              mprime: float, mass: float, dirichlet: float, quasi_grad: float,
-             potential: float, domega_u: Optional[np.ndarray] = None,
+             potential: float, domega_u: np.ndarray,
              mismatch_tol: float = 0.01) -> MatrixL:
     """Closed-form matrix L with the discrete quadratic forms as a check.
 
-    d_omega u is never differenced: it comes from the resolvent solve (or
-    is recomputed here).  Raises EntryMismatch when any entry's two routes
+    `op` is the l = 0 L+ operator of u, assembled once per report, and
+    d_omega u (on op's nodes) comes from the resolvent solve: it is never
+    differenced.  Raises EntryMismatch when any entry's two routes
     disagree beyond mismatch_tol relative to the entry scale.
     """
     entries = matrix_l_closed_form(params, mprime, mass, dirichlet,
                                    quasi_grad, potential)
-    op = assemble(u, params, ell=0, kind=KIND_LPLUS)
     u_r = op.restrict(u.values)
-    if domega_u is None:
-        domega_u = op.solve(-u_r)
-    nodes = op.nodes
     scaling = op.restrict(
         u.grid.nodes * u.derivative_values) + 0.5 * params.dim * u_r
     basis = [domega_u, u_r, scaling]
@@ -480,7 +476,7 @@ class SpectralReport:
 
 def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
     """All spectral diagnostics for an accepted ground-state solve."""
-    u, v, params = solve_report.u, solve_report.v, solve_report.params
+    u, params = solve_report.u, solve_report.params
     d = solve_report.diagnostics
     op_p0 = assemble(u, params, ell=0, kind=KIND_LPLUS)
     op_p1 = assemble(u, params, ell=1, kind=KIND_LPLUS)
@@ -499,8 +495,8 @@ def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
     mp = mprime_resolvent(u, params)
     if d.mass is None:
         raise InvalidParams("spectral report needs a finite mass")
-    mat = matrix_l(u, v, params, mp.primal, d.mass, d.dirichlet,
-                   d.quasi_grad, d.potential, domega_u=mp.domega_u)
+    mat = matrix_l(op_p0, u, params, mp.primal, d.mass, d.dirichlet,
+                   d.quasi_grad, d.potential, mp.domega_u)
 
     n_rad = negative_count(op_p0, tol=0.0)
     # the translational kernel sits at exactly 0 in l = 1; anything within

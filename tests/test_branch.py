@@ -3,7 +3,7 @@ import pytest
 from qground.asymptotics import ladder_derivative
 from qground.branch import (BranchStore, PointRecord, SweepPlan,
                             energy_identity_check, geometric_ladder,
-                            mprime_fd, run_sweep, scaled_height_guess)
+                            run_sweep, scaled_height_guess)
 from qground.errors import InsufficientNeighbors, InvalidParams
 from qground.params import Params
 
@@ -144,12 +144,17 @@ class TestDerivatives:
             ladder_derivative(omegas, masses, 2)
 
     def test_mprime_fd_on_store(self, small_sweep):
+        # the fill sets the difference M' at interior points only
         _, store = small_sweep
-        interior = store.points()[1].omega
-        val = mprime_fd(store, interior)
-        assert val == pytest.approx(store.points()[1].mprime_fd, rel=1e-12)
-        with pytest.raises(InsufficientNeighbors):
-            mprime_fd(store, store.points()[0].omega)
+        points = store.points()
+        assert all(q.mprime_fd is not None for q in points[1:-1])
+        assert points[0].mprime_fd is None
+        assert points[-1].mprime_fd is None
+        # the ladder runs downward; the stencil wants omega increasing
+        omegas = [q.omega for q in reversed(points)]
+        masses = [q.mass for q in reversed(points)]
+        expected = ladder_derivative(omegas, masses, len(points) - 2)
+        assert points[1].mprime_fd == pytest.approx(expected, rel=1e-12)
 
     def test_nls_mass_law_derivative(self, small_sweep, nls33):
         # M' = -(1/2) omega^{-3/2} |Q|_2^2 for N = 3, p = 3, delta = 0

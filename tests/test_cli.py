@@ -53,6 +53,16 @@ class TestSolveCommand:
         assert main(["solve", "--dim", "3"]) == 2
         assert main(["solve", "--dim", "3", "--p", "x/y", "--omega", "1"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "nan"], ["--omega", "inf"],
+        ["--omega", "1", "--delta", "nan"],
+    ])
+    def test_non_finite_values_exit_code(self, tmp_path, capsys, flags):
+        code = main(["solve", "--dim", "3", "--p", "3", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_sweep_layout_and_determinism(self, tmp_path, capsys):
@@ -122,17 +132,84 @@ class TestFitCommand:
         assert str(path) in err
 
 
+#: reduced ladders per regime, with the gates (value, pass) they give: the
+#: ladders are too short for the asymptotic windows, so some gates fail
+VERIFY_CASES = {
+    "sub": (["--dim", "3", "--p", "2",
+             "--omega-ladder", "0.015625:0.0009765625:0.5"], {
+        "correction_coefficient_5pct": (0.0029101096313841196, True),
+        "intercept_matches_Q_mass": (9.37431256058658e-07, True),
+        "mprime_sign_near_zero": (2095.915912011789, True),
+        "energy_identity_1pct": (1.1964905058497243e-06, True),
+    }, "expansion"),
+    "crit": (["--dim", "3", "--p", "5", "--resolution", "1024",
+              "--omega-ladder", "0.0625:0.00006103515625:0.5"], {
+        "mass_slope": (-0.6368417760525975, False),
+        "lambda_slope": (-0.2819963168607139, False),
+        "level_gap_slope": (0.28844822301616646, True),
+        "mprime_negative_and_diverging": (None, True),
+        "bubble_distance_1e-2": (0.059191797870408736, False),
+        "energy_limit_3pct": (0.019278422806064333, True),
+        "energy_identity_1pct": (4.706356202815443e-08, True),
+    }, "critical"),
+    "super": (["--dim", "5", "--p", "3",
+               "--omega-ladder", "0.0625:0.00390625:0.5"], {
+        "omega_mass_to_zero_monotone": (None, True),
+        "mass_limit_2pct": (0.8950547812850417, False),
+        "det_L_negative": (-2459596599545.704, True),
+        "energy_limit_3pct": (0.005018885986074892, True),
+        "energy_identity_1pct": (7.392946399526155e-07, True),
+    }, "supercritical"),
+}
+
+
 class TestVerifyCommand:
-    def test_reduced_ladder_runs_and_reports(self, tmp_path, capsys):
-        # a deliberately short ladder: the machinery must run end to end and
-        # the exit code must mirror the recorded gates
-        code = main(["verify", "--regime", "super", "--dim", "5", "--p", "3",
-                     "--omega-ladder", "0.0625:0.00390625:0.5",
+    @pytest.mark.parametrize("regime", sorted(VERIFY_CASES))
+    def test_reduced_ladder_runs_and_reports(self, regime, tmp_path, capsys):
+        # a deliberately short ladder: the machinery must run end to end,
+        # the gates must keep their names, values and flags, and the exit
+        # code must mirror the recorded gates
+        flags, expected, block = VERIFY_CASES[regime]
+        code = main(["verify", "--regime", regime, *flags,
                      "--out", str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 1)
         assert (code == 0) == payload["passed"]
         assert payload["passed"] == all(g["pass"] for g in payload["gates"].values())
-        fits = tmp_path / "verify-super" / "fits.json"
-        assert fits.exists()
-        assert json.loads(fits.read_text())["regime"] == "super"
+        assert set(payload["gates"]) == set(expected)
+        for name, (value, passed) in expected.items():
+            gate = payload["gates"][name]
+            assert gate["pass"] is passed, name
+            if value is None:
+                assert gate["value"] is None, name
+            else:
+                assert gate["value"] == pytest.approx(value, rel=1e-12), name
+        fits = json.loads((tmp_path / f"verify-{regime}" / "fits.json").read_text())
+        assert fits["regime"] == regime
+        assert set(fits) == {"schema", "regime", "gates", block, "energy",
+                             "passed"}
+
+    def test_failed_resolvent_fails_the_sign_gate(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from qground import spectra
+        from qground.errors import NearSingular
+
+        def singular(*args, **kwargs):
+            raise NearSingular("forced")
+
+        monkeypatch.setattr(spectra, "mprime_resolvent", singular)
+        flags, _, _ = VERIFY_CASES["sub"]
+        code = main(["verify", "--regime", "sub", *flags,
+                     "--out", str(tmp_path), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["gates"]["mprime_sign_near_zero"] == {
+            "value": None, "pass": False}
+
+    def test_critical_regime_needs_dim_three(self, tmp_path, capsys):
+        code = main(["verify", "--regime", "crit", "--dim", "2",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "N >= 3" in err

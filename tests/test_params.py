@@ -63,6 +63,16 @@ class TestClassify:
         with pytest.raises(InvalidParams):
             Params(3, 3, 1.0, -1.0)
 
+    @pytest.mark.parametrize("p, delta, omega", [
+        (3, 1.0, float("nan")), (3, 1.0, float("inf")),
+        (3, float("nan"), 1.0), (3, float("inf"), 1.0),
+        (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0),
+        ("nan", 1.0, 1.0), ("inf", 1.0, 1.0), ("1/0", 1.0, 1.0),
+    ])
+    def test_non_finite_values_rejected(self, p, delta, omega):
+        with pytest.raises(InvalidParams, match="finite"):
+            Params(3, p, delta, omega)
+
 
 class TestGrid:
     def test_r_max_formula(self):

@@ -6,10 +6,9 @@ from scipy.integrate import solve_ivp
 
 from qground.errors import InvalidParams, NoGroundState
 from qground.params import Params
-from qground.shooting import (CONVERGING, OVERSHOOT, UNDERSHOOT,
-                              ShootingConfig, classify_trajectory,
-                              nls_ground_state, series_start,
-                              solve_ground_state)
+from qground.shooting import (OVERSHOOT, UNDERSHOOT, ShootingConfig,
+                              classify_trajectory, nls_ground_state,
+                              series_start, solve_ground_state)
 from qground.transform import TransformContext, h, r
 
 # frozen oracle values from tests/oracle.py (independent Radau shooting at
@@ -98,32 +97,30 @@ class TestClassifier:
 
     def test_overshoot_on_crossing(self):
         tag = classify_trajectory(self.PARAMS, crossed_zero=True,
-                                  turned_up=False, rho=3.0, v=0.0, vp=-0.3,
-                                  s_star_val=1.0, matched=False)
+                                  turned_up=False, rho=3.0, v=0.0, vp=-0.3)
         assert tag == OVERSHOOT
 
     def test_undershoot_on_turning(self):
         tag = classify_trajectory(self.PARAMS, crossed_zero=False,
-                                  turned_up=True, rho=4.0, v=0.9,
-                                  vp=0.0, s_star_val=1.0, matched=False)
+                                  turned_up=True, rho=4.0, v=0.9, vp=0.0)
         assert tag == UNDERSHOOT
 
-    def test_converging_on_orbit_slope(self):
-        # v ~ e^{-rho}/rho at omega = 1, N = 3: slope = kappa + 1/rho
+    def test_orbit_slope_splits_the_sides(self):
+        # v ~ e^{-rho}/rho at omega = 1, N = 3: orbit slope = kappa + 1/rho
         rho, v = 20.0, 1e-6
-        vp = -(1.0 + 1.0 / rho) * v
-        tag = classify_trajectory(self.PARAMS, crossed_zero=False,
-                                  turned_up=False, rho=rho, v=v, vp=vp,
-                                  s_star_val=1.0, matched=True)
-        assert tag == CONVERGING
+        orbit = 1.0 + 1.0 / rho
+        for factor, side in ((0.99, UNDERSHOOT), (1.01, OVERSHOOT)):
+            tag = classify_trajectory(self.PARAMS, crossed_zero=False,
+                                      turned_up=False, rho=rho, v=v,
+                                      vp=-factor * orbit * v)
+            assert tag == side
 
     def test_zero_mass_slow_decay_is_undershoot(self):
         params = Params(5, 3, 1.0, 0.0)
         rho, v = 300.0, 1e-3
         vp = -v / rho   # log-slope 1, slower than N-2 = 3
         tag = classify_trajectory(params, crossed_zero=False, turned_up=False,
-                                  rho=rho, v=v, vp=vp, s_star_val=0.0,
-                                  matched=False)
+                                  rho=rho, v=v, vp=vp)
         assert tag == UNDERSHOOT
 
 
