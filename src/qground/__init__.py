@@ -28,8 +28,8 @@ from .integrals import (ScalarDiagnostics, compute_diagnostics,
                         radial_decay_check, sobolev_constant)
 from .params import (Decay, Params, RadialGrid, RadialProfile, Regime,
                      classify, make_grid)
-from .shooting import (ShootingConfig, SolveReport, classify_trajectory,
-                       nls_ground_state, series_start, solve_ground_state)
+from .shooting import (ShootingConfig, SolveReport, nls_ground_state,
+                       series_start, solve_ground_state)
 from .spectra import (DiscreteOperator, MatrixL, SpectralReport, assemble,
                       build_spectral_report, low_spectrum, matrix_l,
                       mprime_resolvent, mprime_sign_window, negative_count)

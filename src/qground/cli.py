@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from . import asymptotics, branch, spectra
 from .errors import InvalidParams, QGroundError
 from .integrals import sobolev_constant
-from .params import MASS_SUBCRITICAL, Params, classify
+from .params import (CRITICAL, MASS_SUBCRITICAL, SUBCRITICAL, SUPERCRITICAL,
+                     Params, classify)
 from .shooting import ShootingConfig, nls_ground_state, solve_ground_state
 from .branch import BranchStore, SweepPlan, default_out_dir, geometric_ladder
 
@@ -259,6 +260,7 @@ class _RegimeSpec:
     """
 
     block: str                  # key of the check's block in the result
+    tag: str                    # the Sobolev regime the exponent must be in
     dim: int
     p: Callable[[int], Fraction]
     ladder: Callable[[int], tuple[float, ...]]
@@ -276,20 +278,22 @@ _CRIT_FLOORS = {3: 2.0 ** -26, 4: 2.0 ** -28, 5: 2.0 ** -24}
 
 _REGIMES = {
     "sub": _RegimeSpec(
-        block="expansion", dim=3, p=lambda dim: Fraction(2),
+        block="expansion", tag=SUBCRITICAL, dim=3,
+        p=lambda dim: Fraction(2),
         ladder=lambda dim: geometric_ladder(2.0 ** -6, 2.0 ** -14, 0.5),
         resolution=1024, with_spectra=False, energy_gate=False,
         check=_check_sub),
     # the deepest critical points need the finer quadrature to hold the
     # 1e-6 variational cross-check
     "crit": _RegimeSpec(
-        block="critical", dim=3, p=_critical_p,
+        block="critical", tag=CRITICAL, dim=3, p=_critical_p,
         ladder=lambda dim: geometric_ladder(
             2.0 ** -4, _CRIT_FLOORS.get(dim, 2.0 ** -16), 0.5),
         resolution=2048, with_spectra=False, energy_gate=True,
         check=_check_crit),
     "super": _RegimeSpec(
-        block="supercritical", dim=5, p=lambda dim: Fraction(3),
+        block="supercritical", tag=SUPERCRITICAL, dim=5,
+        p=lambda dim: Fraction(3),
         ladder=lambda dim: geometric_ladder(2.0 ** -4, 2.0 ** -16, 0.5),
         resolution=1024, with_spectra=True, energy_gate=True,
         check=_check_super),
@@ -301,8 +305,9 @@ def verify_regime(regime: str, dim: Optional[int], p, delta: float,
                   resolution: Optional[int], jobs: int) -> dict:
     """Sweep the regime's ladder and collect its named pass/fail gates.
 
-    Unset arguments take the regime's defaults from `_REGIMES`.  Every
-    regime runs the same pipeline: the sweep (tag verify-<regime>), the
+    Unset arguments take the regime's defaults from `_REGIMES`; an
+    exponent outside the regime raises InvalidParams before any solve.
+    Every regime runs the same pipeline: the sweep (tag verify-<regime>), the
     regime's own checks, the energy limit (gated at 3 % where the regime
     has a nonzero limit) and the identity E' = -(omega/2) M' at the middle
     frequency (gated at 1 %).  Boolean gates carry value None.  The result
@@ -317,8 +322,12 @@ def verify_regime(regime: str, dim: Optional[int], p, delta: float,
                      else resolution,
                      with_spectra=spec.with_spectra, jobs=jobs,
                      tag=f"verify-{regime}")
-    store = branch.run_sweep(plan)
     params = plan.params_at(plan.omegas[0])
+    tag = classify(params).tag
+    if tag != spec.tag:
+        raise InvalidParams(f"verify --regime {regime} needs a {spec.tag} "
+                            f"exponent; p = {plan.p} is {tag} for N = {dim}")
+    store = branch.run_sweep(plan)
     block, checks, u0 = spec.check(plan, store, params)
     energy = asymptotics.energy_limit_check(store.points(), params,
                                             u0_report=u0)

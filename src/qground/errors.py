@@ -10,11 +10,11 @@ class InvalidParams(QGroundError):
 
 
 class NoConvergence(QGroundError):
-    """An iterative kernel (Newton inversion, bisection) failed to converge."""
+    """An iterative kernel (Newton inversion, height root-find) stalled."""
 
 
 class BracketFailure(QGroundError):
-    """The shooting bracket could not be made to straddle the dichotomy."""
+    """The shooting bracket could not be made to straddle the height."""
 
 
 class NoGroundState(QGroundError):
@@ -22,7 +22,7 @@ class NoGroundState(QGroundError):
 
 
 class AmbiguousTrajectory(QGroundError):
-    """Overshoot and undershoot signatures fired within tolerance of each other."""
+    """The trajectory at the accepted height crosses zero."""
 
 
 class Divergent(QGroundError):

@@ -1,17 +1,28 @@
 """Radial shooting for the dual semilinear problem -Delta v = f_omega(v).
 
-The positive decaying solution is found by bisection on the center height
-v(0) = a: trajectories that cross zero overshoot, trajectories that turn
-back up undershoot, and the ground state sits on the boundary.  Each
-trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
+The positive decaying solution is the center height v(0) = a* between
+trajectories that cross zero (a > a*) and trajectories that turn back up
+(a < a*).  The height is the root of one signed, continuous monitor phi(a),
+positive below a* and negative above it:
+
+    omega > 0:  phi = -+ exp(-2 sqrt(omega) rho_exit) rho_exit^{N-1}, minus
+                for a crossing, plus for a turn, 0 when neither happens
+                before R_max; the growing mode meets the decaying one where
+                |a - a*| ~ exp(-2 sqrt(omega) rho), so phi is close to linear
+    omega = 0:  phi = (N-2) v + rho v' at rho_1 = 0.35 R_max, or at the exit
+                radius scaled by (rho_1 / rho_exit)^{N-2} when the trajectory
+                crosses or turns before rho_1
+
+A bracket phase grows [lo, hi] geometrically until phi changes sign, and
+regula falsi with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) shrinks
+it to a relative width of HEIGHT_RTOL.  Each trajectory integrates
+(u, w = v') with v = h(u) and h'(u) closed form:
 
     u' = w / h'(u),    w' = -(N-1)/rho w - (|u|^{p-1} u - omega u) / h'(u),
 
 so the right-hand side never inverts h (at delta = 0 it is the NLS system);
-r = h^{-1} runs once per trajectory on the launch value and on each event
-level, which are v-levels.  Once the trajectory drops below a matching threshold the side is decided by the
-local logarithmic slope, so bisection iterations never integrate through
-the contaminated far field.  Beyond the matching radius the profile is
+r = h^{-1} runs only on the launch values and on the floor level of the
+final pass, which are v-levels.  Beyond the matching radius the profile is
 extended by the fitted analytic tail:
 
     omega > 0:  v ~ A rho^{-(N-1)/2} exp(-sqrt(omega) rho)
@@ -24,47 +35,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import integrals, transform
 from .errors import (AmbiguousTrajectory, BracketFailure, InvalidParams,
-                     NoGroundState)
+                     NoConvergence, NoGroundState)
 from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
                      RadialGrid, RadialProfile, Regime, classify, make_grid)
-
-OVERSHOOT = "overshoot"
-UNDERSHOOT = "undershoot"
 
 #: start of integration; the (N-1)/rho singularity is bridged by a series
 START_RADIUS = 1e-4
 #: fraction of R_max where zero-mass trajectories are matched to the tail
 ZERO_MASS_MATCH_FRACTION = 0.35
+#: relative width of the final height bracket
+HEIGHT_RTOL = 1e-13
+#: DOP853 relative tolerance, and absolute tolerance as a fraction of a
+ODE_RTOL = 1e-11
+ODE_ATOL_REL = 1e-13
+#: v-level, as a fraction of a, at which the final pass stops
+TAIL_FLOOR_REL = 1e-9
+#: monitor evaluations allowed to each of the bracket and root-find phases
+MAX_HEIGHT_STEPS = 100
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Tolerances and bracket controls for the dichotomy search."""
+    """Grid resolution and an optional override of the outer radius."""
 
-    bisect_rtol: float = 1e-13
-    ode_rtol: float = 1e-11
-    ode_atol_rel: float = 1e-13
-    tail_match_rel: float = 1e-9       # classification depth during bisection
-    tail_floor_rel: float = 1e-9       # integration depth of the final pass
-    max_bisect: int = 200
     resolution: int = 1024
-    bracket: Optional[tuple[float, float]] = None
-    r_max: Optional[float] = None      # override the default outer radius
-
-    def __post_init__(self):
-        if self.bracket is not None and not self.bracket[0] < self.bracket[1]:
-            raise InvalidParams("bracket must satisfy a_lo < a_hi")
-        if min(self.bisect_rtol, self.ode_rtol, self.ode_atol_rel) <= 0:
-            raise InvalidParams("tolerances must be positive")
+    r_max: Optional[float] = None
 
 
 def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
@@ -85,41 +88,16 @@ def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
     return v, vp
 
 
-def classify_trajectory(params: Params, *, crossed_zero: bool,
-                        turned_up: bool, rho: float, v: float, vp: float) -> str:
-    """Classify a shooting trajectory's terminal state.
-
-    Overshoot: v crossed zero going down, or at the last radius it decays
-    faster than the connecting orbit.  Undershoot: v' flipped positive with
-    v > 0, or the decay is slower than the connecting orbit's.
-    """
-    if crossed_zero:
-        return OVERSHOOT
-    if turned_up:
-        return UNDERSHOOT
-    if v <= 0.0:
-        return OVERSHOOT
-    n = params.dim
-    if params.omega > 0.0:
-        orbit_slope = math.sqrt(params.omega) + (n - 1) / (2.0 * rho)
-        return UNDERSHOOT if -vp / v < orbit_slope else OVERSHOOT
-    # omega = 0: power-law dichotomy.  The connecting orbit decays like
-    # rho^-(N-2); the slow branch like rho^(-2/(p-1)).  Split at the midpoint.
-    slope = -rho * vp / v
-    threshold = 0.5 * ((n - 2) + 2.0 / (params.p - 1.0))
-    return UNDERSHOOT if slope < threshold else OVERSHOOT
-
-
 class _Shooter:
-    """One (params, config) shooting context; owns the RHS and events."""
+    """One (params, R_max) shooting context: the RHS, the events, the
+    height monitor and the integration count of its root-find."""
 
-    def __init__(self, params: Params, cfg: ShootingConfig):
+    def __init__(self, params: Params, r_max: float):
         self.params = params
-        self.cfg = cfg
         self.ctx = transform.TransformContext(params.delta)
         self.s_star = transform.s_star(params.omega, params.p, self.ctx)
-        self.r_max = cfg.r_max if cfg.r_max is not None \
-            else make_grid(params, cfg.resolution).r_max
+        self.r_max = r_max
+        self.integrations = 0
         n = params.dim
         two_delta, pm1, omega = 2.0 * params.delta, params.p - 1.0, params.omega
 
@@ -131,13 +109,11 @@ class _Shooter:
 
         self.rhs = rhs
 
-    def _events(self, a: float, mode: str):
-        """Events: v crossing zero, v' turning positive, and for omega > 0
-        the matching thresholds.  In "classify" mode the match level is
-        terminal (bisection never integrates the contaminated far field);
-        in "final" mode it is only recorded and a deeper floor terminates,
-        giving the tail fit room to select its matching radius.  The v-levels
-        are converted to u-levels once (v = 0 exactly when u = 0)."""
+    def _events(self, a: float, final: bool):
+        """Events: v crossing zero and v' turning positive, both terminal.
+        The final pass for omega > 0 also stops at the floor v = 1e-9 a,
+        which leaves the tail fit room to select its matching radius; the
+        v-level is converted to a u-level once."""
         def cross(rho, y):
             return y[0]
         cross.terminal, cross.direction = True, -1
@@ -147,47 +123,52 @@ class _Shooter:
         turn.terminal, turn.direction = True, 1
 
         events = [cross, turn]
-        if mode != "bare" and self.params.omega > 0:
-            u_match = transform.r_scalar(self.cfg.tail_match_rel * a, self.ctx)
+        if final and self.params.omega > 0:
+            u_floor = transform.r_scalar(TAIL_FLOOR_REL * a, self.ctx)
 
-            def match(rho, y):
-                return y[0] - u_match
-            match.terminal, match.direction = (mode == "classify"), -1
-            events.append(match)
-            if mode == "final":
-                u_floor = transform.r_scalar(self.cfg.tail_floor_rel * a,
-                                             self.ctx)
-
-                def floor(rho, y):
-                    return y[0] - u_floor
-                floor.terminal, floor.direction = True, -1
-                events.append(floor)
+            def floor(rho, y):
+                return y[0] - u_floor
+            floor.terminal, floor.direction = True, -1
+            events.append(floor)
         return events
 
     def integrate(self, a: float, r_end: Optional[float] = None,
-                  dense: bool = False, mode: str = "classify"):
+                  final: bool = False):
         v0, w0 = series_start(a, self.params, START_RADIUS)
         y0 = (transform.r_scalar(v0, self.ctx), w0)
         return solve_ivp(
             self.rhs, (START_RADIUS, r_end if r_end else self.r_max), y0,
-            method="DOP853", rtol=self.cfg.ode_rtol,
-            atol=self.cfg.ode_atol_rel * a,
-            events=self._events(a, mode), dense_output=dense)
+            method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
+            events=self._events(a, final), dense_output=final)
 
-    def classify(self, a: float) -> str:
-        sol = self.integrate(a)
-        crossed = sol.t_events[0].size > 0
-        turned = sol.t_events[1].size > 0
-        return classify_trajectory(
-            self.params, crossed_zero=crossed, turned_up=turned,
-            rho=float(sol.t[-1]), v=transform.h(sol.y[0, -1], self.ctx),
-            vp=float(sol.y[1, -1]))
+    def monitor(self, a: float) -> float:
+        """phi(a): positive below the height a*, negative above, 0 on it.
 
-    # -- bracketing ---------------------------------------------------------
+        For omega > 0 a height a <= s* is an undershoot by the energy law
+        and is known by its sign alone: phi = +inf, no integration."""
+        n = self.params.dim
+        if self.params.omega > 0:
+            if a <= self.s_star:
+                return math.inf
+            self.integrations += 1
+            sol = self.integrate(a)
+            if sol.status != 1:
+                return 0.0
+            rho = float(sol.t[-1])
+            sign = -1.0 if sol.t_events[0].size else 1.0
+            return sign * math.exp(-2.0 * math.sqrt(self.params.omega) * rho) \
+                * rho ** (n - 1)
+        rho_1 = ZERO_MASS_MATCH_FRACTION * self.r_max
+        self.integrations += 1
+        sol = self.integrate(a, r_end=rho_1)
+        rho = float(sol.t[-1])
+        v = transform.h(float(sol.y[0, -1]), self.ctx)
+        return ((n - 2) * v + rho * float(sol.y[1, -1])) \
+            * (rho_1 / rho) ** (n - 2)
+
+    # -- the height root-find -----------------------------------------------
 
     def initial_bracket(self, guess: Optional[float]) -> tuple[float, float]:
-        if self.cfg.bracket is not None:
-            return self.cfg.bracket
         if guess is not None:
             # the NLS scaling law is exact at delta = 0, a few percent off
             # otherwise; expand_bracket repairs a one-sided guess
@@ -195,41 +176,69 @@ class _Shooter:
             return guess * (1.0 - margin), guess * (1.0 + margin)
         if self.params.omega > 0:
             return self.s_star, 10.0 * self.s_star
-        return 1.0, 1.0
+        return 1.0, 2.0
 
-    def expand_bracket(self, lo: float, hi: float) -> tuple[float, float]:
-        """Grow the bracket until it straddles the dichotomy.
+    def expand_bracket(self, lo: float, hi: float):
+        """Grow [lo, hi] until phi(lo) >= 0 >= phi(hi); returns
+        (lo, phi(lo), hi, phi(hi)).
 
-        Expansion accelerates geometrically from the current bracket width,
-        so a tight warm-start bracket is repaired with tiny moves while a
-        cold start reaches an overshoot in a few doublings."""
-        omega = self.params.omega
-        floor = self.s_star if omega > 0 else 0.0
-        step = max((hi - lo) / max(hi, 1e-300), 1e-12)
-        for _ in range(300):
-            if self.classify(hi) == OVERSHOOT:
-                break
-            lo = hi
-            hi *= 1.0 + step
+        The bracket moves up while both ends undershoot and down while both
+        overshoot, by a factor that starts at the relative width and grows
+        fourfold per move up to 2, so a tight warm-start bracket is
+        repaired with tiny moves and a cold one in a few doublings.  For
+        omega > 0 it never moves below s*."""
+        f_lo, f_hi = self.monitor(lo), self.monitor(hi)
+        step = max((hi - lo) / hi, 1e-12)
+        for _ in range(MAX_HEIGHT_STEPS):
+            if f_lo >= 0.0 >= f_hi:
+                return lo, f_lo, hi, f_hi
+            if f_hi > 0.0:
+                lo, f_lo = hi, f_hi
+                hi *= 1.0 + step
+                f_hi = self.monitor(hi)
+            else:
+                hi, f_hi = lo, f_lo
+                lo = max(self.s_star, lo / (1.0 + step))
+                if lo < 1e-12:
+                    break
+                f_lo = self.monitor(lo)
             step = min(4.0 * step, 1.0)
-        else:
-            raise BracketFailure("no overshoot found while raising the bracket")
-        step = max((hi - lo) / max(hi, 1e-300), 1e-12)
-        for _ in range(300):
-            if omega > 0 and lo <= floor * (1 + 1e-12):
-                break  # a = s* is a guaranteed undershoot by the energy law
-            if self.classify(lo) == UNDERSHOOT:
-                break
-            hi = lo
-            lo = max(floor, lo / (1.0 + step)) if omega > 0 \
-                else lo / (1.0 + step)
-            step = min(4.0 * step, 1.0)
-            if omega == 0 and lo < 1e-12:
-                raise BracketFailure("no undershoot found while lowering "
-                                     "the bracket")
-        else:
-            raise BracketFailure("no undershoot found while lowering the bracket")
-        return lo, hi
+        raise BracketFailure("the height monitor does not change sign "
+                             f"between {lo!r} and {hi!r}")
+
+    def find_height(self, guess: Optional[float]) -> tuple[float, float]:
+        """Bracket [lo, hi] of the height, at most HEIGHT_RTOL wide, with
+        phi(lo) >= 0 >= phi(hi).
+
+        Regula falsi with the Illinois rule: an end that survives two steps
+        in a row has its phi halved, so both ends converge.  While lo is
+        known by its sign alone the step bisects."""
+        lo, f_lo, hi, f_hi = self.expand_bracket(*self.initial_bracket(guess))
+        side = 0
+        for _ in range(MAX_HEIGHT_STEPS):
+            if f_lo == 0.0:
+                return lo, lo
+            if f_hi == 0.0:
+                return hi, hi
+            if hi - lo <= HEIGHT_RTOL * hi:
+                return lo, hi
+            if math.isinf(f_lo):
+                a = 0.5 * (lo + hi)
+            else:
+                a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            f = self.monitor(a)
+            if f > 0.0:
+                lo, f_lo = a, f
+                if side > 0:
+                    f_hi *= 0.5
+                side = 1
+            else:
+                hi, f_hi = a, f
+                if side < 0:
+                    f_lo *= 0.5
+                side = -1
+        raise NoConvergence(f"height root-find stalled in [{lo!r}, {hi!r}] "
+                            f"after {MAX_HEIGHT_STEPS} steps")
 
 
 def _fit_tail(shooter: _Shooter, sol, a: float,
@@ -240,8 +249,8 @@ def _fit_tail(shooter: _Shooter, sol, a: float,
     far-field radius at which the measured decay rate -v'/v - (N-1)/(2 rho)
     agrees with sqrt(omega) to rate_tol.  This backs away both from the
     crossover region of deep-critical profiles (where the exponential law
-    has not set in yet) and from the bracket-limited contamination that
-    grows past the classification depth.
+    has not set in yet) and from the growing mode that the last bits of
+    the height leave in the far field.
     """
     params = shooter.params
     n = params.dim
@@ -303,7 +312,7 @@ class SolveReport:
     nehari_residual: float
     m_omega: Optional[float]
     diagnostics: integrals.ScalarDiagnostics
-    iterations: int
+    iterations: int             # root-find integrations, bracket included
     tail_rate_fit: float
     bracket: tuple[float, float]
 
@@ -444,47 +453,6 @@ def _equivalence_residual(shooter: _Shooter, v: RadialProfile,
     return float(np.max(np.abs(res) / scale))
 
 
-def _polish_zero_mass(shooter: _Shooter, lo: float, hi: float) -> float:
-    """Refine the zero-mass height by rooting the far-field monitor
-    (N-2) v + rho v' at a fixed radius; the bisection bracket only resolves
-    the constant far-field mode down to R_max^{2-N}, the smooth monitor
-    goes much further."""
-    params = shooter.params
-    n = params.dim
-    rho_1 = ZERO_MASS_MATCH_FRACTION * shooter.r_max
-
-    def monitor(a: float) -> float:
-        sol = shooter.integrate(a, r_end=rho_1, dense=False, mode="bare")
-        if sol.t_events[0].size or sol.y[0, -1] <= 0:
-            return -1e6 * (1.0 + a)
-        v_1 = transform.h(sol.y[0, -1], shooter.ctx)
-        return (n - 2) * v_1 + rho_1 * float(sol.y[1, -1])
-
-    # The bisection fixed point only pins the constant far-field mode down
-    # to ~R_max^{2-N}, so the monitor root may sit outside the final
-    # bracket; expand geometrically until it is straddled.
-    m_lo, m_hi = monitor(lo), monitor(hi)
-    step = max(hi - lo, 1e-7 * hi)
-    for _ in range(80):
-        if m_hi < 0:
-            break
-        lo, m_lo = hi, m_hi
-        hi += step
-        step *= 2.0
-        m_hi = monitor(hi)
-    step = max(hi - lo, 1e-7 * hi)
-    for _ in range(80):
-        if m_lo > 0:
-            break
-        hi, m_hi = lo, m_lo
-        lo -= step
-        step *= 2.0
-        m_lo = monitor(lo)
-    if not (m_lo > 0 > m_hi):
-        return 0.5 * (lo + hi)
-    return float(brentq(monitor, lo, hi, xtol=1e-15 * hi, rtol=8.9e-16))
-
-
 def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
                        guess: Optional[float] = None) -> SolveReport:
     """Compute the unique positive radial decreasing ground state.
@@ -500,33 +468,16 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
             raise NoGroundState(
                 "the zero-mass problem has solutions only for N >= 3 and "
                 "supercritical p")
-    shooter = _Shooter(params, cfg)
-    lo, hi = shooter.initial_bracket(guess)
-    lo, hi = shooter.expand_bracket(lo, hi)
-
-    iterations = 0
-    while hi - lo > cfg.bisect_rtol * hi and iterations < cfg.max_bisect:
-        mid = 0.5 * (lo + hi)
-        if shooter.classify(mid) == OVERSHOOT:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    a = 0.5 * (lo + hi)
-    if params.omega == 0.0:
-        a = _polish_zero_mass(shooter, lo, hi)
-
-    sol = shooter.integrate(a, dense=True, mode="final")
-    if sol.t_events[0].size:
-        # a crossing below the classification depth is the expected fate of
-        # the bracket midpoint; only an early crossing signals a bad solve
-        matched = len(sol.t_events) > 2 and sol.t_events[2].size > 0
-        if not matched:
-            raise AmbiguousTrajectory(
-                "accepted height crosses zero above the matching depth; "
-                "tighten tolerances")
-    decay, rho_m, rate_fit = _fit_tail(shooter, sol, a)
     grid = make_grid(params, cfg.resolution, r_max=cfg.r_max)
+    shooter = _Shooter(params, grid.r_max)
+    lo, hi = shooter.find_height(guess)
+    # phi(lo) >= 0: the final pass repeats lo's trajectory, which does not
+    # cross zero, down to the tail floor
+    a = lo
+    sol = shooter.integrate(a, final=True)
+    if sol.t_events[0].size:
+        raise AmbiguousTrajectory("the accepted height crosses zero")
+    decay, rho_m, rate_fit = _fit_tail(shooter, sol, a)
     v_profile, u_profile = _sample_profiles(shooter, sol, a, grid, decay)
 
     ode_res = _ode_residual(shooter, sol, v_profile, rho_m)
@@ -539,7 +490,8 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
         shooting_height=a, ode_residual=ode_res,
         equivalence_residual=equiv_res, pohozaev_residual=poh,
         nehari_residual=neh, m_omega=diag.m_omega, diagnostics=diag,
-        iterations=iterations, tail_rate_fit=rate_fit, bracket=(lo, hi))
+        iterations=shooter.integrations, tail_rate_fit=rate_fit,
+        bracket=(lo, hi))
 
 
 _NLS_CACHE: dict = {}

@@ -6,8 +6,8 @@ from scipy.integrate import solve_ivp
 
 from qground.errors import InvalidParams, NoGroundState
 from qground.params import Params
-from qground.shooting import (OVERSHOOT, UNDERSHOOT, ShootingConfig,
-                              classify_trajectory, nls_ground_state,
+from qground import shooting
+from qground.shooting import (ShootingConfig, _Shooter, nls_ground_state,
                               series_start, solve_ground_state)
 from qground.transform import TransformContext, h, r
 
@@ -92,36 +92,26 @@ class TestSeriesStart:
         assert vp == pytest.approx(sol.y[1, -1], rel=1e-6)
 
 
-class TestClassifier:
-    PARAMS = Params(3, 3, 1.0, 1.0)
+class TestMonitor:
+    """The height monitor phi(a) has the sign of a* - a, and its magnitude
+    shrinks toward the height on both sides, for both decay laws."""
 
-    def test_overshoot_on_crossing(self):
-        tag = classify_trajectory(self.PARAMS, crossed_zero=True,
-                                  turned_up=False, rho=3.0, v=0.0, vp=-0.3)
-        assert tag == OVERSHOOT
+    @pytest.fixture(params=["sub32", "zero_mass53"])
+    def solved(self, request):
+        rep = request.getfixturevalue(request.param)
+        return _Shooter(rep.params, rep.v.grid.r_max), rep.shooting_height
 
-    def test_undershoot_on_turning(self):
-        tag = classify_trajectory(self.PARAMS, crossed_zero=False,
-                                  turned_up=True, rho=4.0, v=0.9, vp=0.0)
-        assert tag == UNDERSHOOT
+    def test_sign_splits_the_sides(self, solved):
+        shooter, a = solved
+        assert shooter.monitor(0.999 * a) > 0
+        assert shooter.monitor(1.001 * a) < 0
 
-    def test_orbit_slope_splits_the_sides(self):
-        # v ~ e^{-rho}/rho at omega = 1, N = 3: orbit slope = kappa + 1/rho
-        rho, v = 20.0, 1e-6
-        orbit = 1.0 + 1.0 / rho
-        for factor, side in ((0.99, UNDERSHOOT), (1.01, OVERSHOOT)):
-            tag = classify_trajectory(self.PARAMS, crossed_zero=False,
-                                      turned_up=False, rho=rho, v=v,
-                                      vp=-factor * orbit * v)
-            assert tag == side
-
-    def test_zero_mass_slow_decay_is_undershoot(self):
-        params = Params(5, 3, 1.0, 0.0)
-        rho, v = 300.0, 1e-3
-        vp = -v / rho   # log-slope 1, slower than N-2 = 3
-        tag = classify_trajectory(params, crossed_zero=False, turned_up=False,
-                                  rho=rho, v=v, vp=vp)
-        assert tag == UNDERSHOOT
+    def test_magnitude_shrinks_toward_the_height(self, solved):
+        shooter, a = solved
+        for side in (-1.0, 1.0):
+            mags = [abs(shooter.monitor(a * (1.0 + side * eps)))
+                    for eps in (1e-3, 1e-6, 1e-9)]
+            assert mags[0] > mags[1] > mags[2] > 0
 
 
 class TestReports:
@@ -213,6 +203,29 @@ class TestDualState:
         assert counts["rhs"] > 100 * n
         assert counts["r"] <= 5 * n
         assert counts["h_scalar"] <= 40 * n
+
+    @pytest.mark.parametrize("case, budget", [
+        ((3, 2, 1.0, 1.0), 30), ((5, 3, 1.0, 0.0), 79),
+        ((3, 7, 1.0, 0.0), 93)])
+    def test_iterations_count_every_integration(self, monkeypatch, case,
+                                                budget):
+        # the root-find, bracket phase included, plus the final pass
+        calls = []
+        ivp = shooting.solve_ivp
+
+        def count_ivp(*args, **kwargs):
+            calls.append(1)
+            return ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", count_ivp)
+        rep = solve_ground_state(Params(*case))
+        assert rep.iterations + 1 == len(calls)
+        assert len(calls) <= budget
+
+    def test_cold_solves_within_thirty_integrations(self, nls33, townes,
+                                                    crit3, sub32, super53):
+        for rep in (nls33, townes, crit3, sub32, super53):
+            assert rep.iterations + 1 <= 30
 
     def test_v_is_h_of_u(self, sub32, crit3, super53):
         for rep in (sub32, crit3, super53):
