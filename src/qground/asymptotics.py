@@ -149,9 +149,6 @@ class FitResult:
     aicc: float
     window: tuple[float, float]
 
-    def acceptable(self) -> bool:
-        return self.r_squared > 0.999
-
 
 def aicc(rss: float, n: int, k: int) -> float:
     if n <= k + 1:

@@ -2,12 +2,13 @@
 points, warm starts and flat-file persistence.
 
 A sweep walks a geometric omega ladder downward.  Each new point seeds its
-shooting bracket from the previous height through the NLS scaling law
-mapped through the transform (exact for delta = 0, a good first guess
-otherwise).  Results land in an append-only store keyed by
-(N, p, delta, omega, resolution); re-running a point overwrites only if
-its residuals improve.  Persistence is CSV plus JSON sidecars and is
-byte-deterministic for a fixed plan.
+shooting bracket from the last height that solved through the NLS scaling
+law mapped through the transform (exact for delta = 0, a good first guess
+otherwise).  With jobs > 1 the ladder is cut into contiguous chunks, each
+walked the same way in its own process.  Results land in an append-only
+store keyed by (N, p, delta, omega, resolution); re-running a point
+overwrites only if its residuals improve.  Persistence is CSV plus JSON
+sidecars and is byte-deterministic for a fixed plan.
 """
 from __future__ import annotations
 
@@ -20,11 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import spectra, transform
-from .asymptotics import MassCurvePoint, extract_lambda, ladder_derivative
-from .errors import InsufficientNeighbors, InvalidParams, QGroundError
+from .asymptotics import (MassCurvePoint, energy_identity_residuals,
+                          extract_lambda, ladder_derivative)
+from .errors import (ConstraintViolated, InsufficientNeighbors, InvalidParams,
+                     QGroundError)
 from .params import Params, classify
 from .shooting import ShootingConfig, SolveReport, solve_ground_state
 
@@ -57,6 +60,8 @@ class SweepPlan:
             raise InvalidParams("the omega ladder must be strictly decreasing")
         for w in self.omegas:
             Params(self.dim, self.p, self.delta, w)  # validates
+        if self.jobs < 1:
+            raise InvalidParams(f"jobs must be >= 1, got {self.jobs}")
 
     def params_at(self, omega: float) -> Params:
         return Params(self.dim, self.p, self.delta, omega)
@@ -229,58 +234,48 @@ def compute_point(params: Params, resolution: int = 1024,
                                     report.nehari_residual))
 
 
-def _worker(args) -> PointRecord:
-    dim, p, delta, omega, resolution, guess, with_spectra = args
-    return compute_point(Params(dim, p, delta, omega), resolution, guess,
-                         with_spectra)
+def _walk(plan: SweepPlan, omegas: Sequence[float]) -> list[PointRecord]:
+    """Solve `omegas` in order, each seeded from the last point that solved:
+    the one ladder walk behind serial and parallel sweeps alike."""
+    records = []
+    last = None                     # (omega, height) of the last solve
+    for w in omegas:
+        params = plan.params_at(w)
+        guess = None
+        if last is not None:
+            guess = scaled_height_guess(last[1], last[0], w, params)
+        rec = compute_point(params, plan.resolution, guess, plan.with_spectra)
+        if rec.report is not None:
+            last = (rec.point.omega, rec.report.shooting_height)
+        if not plan.keep_reports:
+            rec.report = None
+        records.append(rec)
+    return records
 
 
 def run_sweep(plan: SweepPlan) -> BranchStore:
     """Walk the ladder, warm-starting each solve from its predecessor.
 
-    With jobs > 1 the first point anchors the scaling-law guesses and the
-    remaining points run in a process pool; results merge in ladder order
-    so the output is identical to a serial run.
+    The ladder is cut into min(jobs, len(omegas)) contiguous chunks, fixed
+    by the ladder length and the job count alone.  One chunk is walked in
+    this process; several are walked in a process pool, each from a cold
+    first point.  A rerun at the same job count is byte-identical.
     """
     store = BranchStore(plan)
-    if not plan.omegas:
-        return store
-    if plan.jobs > 1:
-        anchor = compute_point(plan.params_at(plan.omegas[0]),
-                               plan.resolution, None, plan.with_spectra)
-        store.insert(_strip(anchor, plan))
-        a0 = anchor.report.shooting_height if anchor.report else None
-        tasks = []
-        for w in plan.omegas[1:]:
-            guess = None
-            if a0 is not None:
-                guess = scaled_height_guess(a0, plan.omegas[0], w,
-                                            plan.params_at(w))
-            tasks.append((plan.dim, plan.p, plan.delta, w, plan.resolution,
-                          guess, plan.with_spectra))
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            for rec in pool.map(_worker, tasks):
-                store.insert(_strip(rec, plan))
+    omegas = plan.omegas
+    chunks = min(plan.jobs, len(omegas))
+    if chunks <= 1:
+        records = _walk(plan, omegas)
     else:
-        guess = None
-        prev = None
-        for w in plan.omegas:
-            params = plan.params_at(w)
-            if prev is not None and prev.report is not None:
-                guess = scaled_height_guess(
-                    prev.report.shooting_height, prev.point.omega, w, params)
-            rec = compute_point(params, plan.resolution, guess,
-                                plan.with_spectra)
-            store.insert(_strip(rec, plan))
-            prev = rec
+        cuts = [len(omegas) * i // chunks for i in range(chunks + 1)]
+        parts = [omegas[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            records = [rec for part in pool.map(_walk, [plan] * chunks, parts)
+                       for rec in part]
+    for rec in records:
+        store.insert(rec)
     _fill_mprime_fd(store)
     return store
-
-
-def _strip(rec: PointRecord, plan: SweepPlan) -> PointRecord:
-    if not plan.keep_reports:
-        rec.report = None
-    return rec
 
 
 def _fill_mprime_fd(store: BranchStore) -> None:
@@ -306,30 +301,22 @@ def energy_identity_check(params: Params, resolution: int = 1024,
     of `width` points at the given spacing ratio (warm-started, so cheap).
     The production branches use ratio 1/2, too coarse for differencing the
     energy (E ~ omega^{3/2} in the subcritical regime makes the stencil
-    bias a few percent there); at ratio 0.95 the bias is ~1e-6.
+    bias a few percent there); at ratio 0.95 the bias is ~1e-6.  Raises
+    ConstraintViolated when a point of the local ladder is not accepted.
     """
     half = width // 2
-    omegas = [params.omega * ratio ** k for k in range(-half, half + 1)]
-    omegas.sort(reverse=True)
-    energies, masses, ladder = [], [], []
-    guess = None
-    for w in omegas:
-        pw = params.with_omega(w)
-        report = solve_ground_state(
-            pw, ShootingConfig(resolution=resolution), guess=guess)
-        guess = scaled_height_guess(report.shooting_height, w, w * ratio, pw)
-        d = report.diagnostics
-        ladder.append(w)
-        energies.append(d.energy)
-        masses.append(d.mass)
-    ladder = ladder[::-1]
-    energies = energies[::-1]
-    masses = masses[::-1]
-    mid = half
-    e_prime = ladder_derivative(ladder, energies, mid)
-    m_prime = ladder_derivative(ladder, masses, mid)
-    rhs = -0.5 * ladder[mid] * m_prime
-    return abs(e_prime - rhs) / max(abs(rhs), 1e-300)
+    p = params.p_exact if params.p_exact is not None else params.p
+    plan = SweepPlan(params.dim, p, params.delta,
+                     tuple(params.omega * ratio ** k
+                           for k in range(-half, half + 1)),
+                     resolution=resolution, keep_reports=False)
+    store = run_sweep(plan)
+    for rec in store.records():
+        if not rec.accepted:
+            raise ConstraintViolated(
+                f"energy identity stencil point omega={rec.point.omega!r} "
+                f"not accepted: {rec.failure or 'failed the acceptance gates'}")
+    return energy_identity_residuals(store.points())[half - 1]
 
 
 def default_out_dir() -> Path:

@@ -26,6 +26,9 @@ from .errors import ConstraintViolated, Divergent, InvalidParams
 from .params import (DECAY_EXPONENTIAL, DECAY_NONE, DECAY_POWER, Decay,
                      Params, RadialGrid, RadialProfile, classify)
 
+#: largest relative gap of the dual Pohozaev cross-check in level_m_omega
+LEVEL_CROSS_CHECK_TOL = 1e-6
+
 
 def sphere_area(dim: int) -> float:
     """Surface measure |S^{N-1}| = 2 pi^{N/2} / Gamma(N/2)."""
@@ -140,11 +143,6 @@ def quasi_gradient_integral(profile: RadialProfile, dim: int) -> float:
     tail = _derivative_tail(profile.decay, dim, 4.0, profile.grid.r_max)
     values = profile.values ** 2 * profile.derivative_values ** 2
     return integrate_radial(values, profile.grid, dim, tail)
-
-
-def grad_square_norm(profile: RadialProfile, dim: int) -> float:
-    """int |grad(u^2)|^2 dx = 4 * int u^2 |grad u|^2 dx."""
-    return 4.0 * quasi_gradient_integral(profile, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +261,13 @@ def critical_key_residual(u: RadialProfile, params: Params,
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs))
 
 
-def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params,
-                  cross_check_tol: float = 1e-6) -> float:
+def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params) -> float:
     """Variational level m_omega recovered from the solution v = h(u) of the
     dual problem via m_omega = (2* int F_omega(v))^(2/N), F_omega taken on u.
 
     The Pohozaev identity for the dual problem forces
     int |grad v|^2 = 2* int F_omega(v); the two routes must agree to
-    cross_check_tol or the solve is rejected (ConstraintViolated).
+    LEVEL_CROSS_CHECK_TOL or the solve is rejected (ConstraintViolated).
     """
     if params.dim < 3:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
@@ -287,7 +284,7 @@ def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params,
     two_star = params.two_star()
     dirichlet = dirichlet_integral(v, params.dim)
     rel = abs(dirichlet - two_star * int_f) / dirichlet
-    if rel > cross_check_tol:
+    if rel > LEVEL_CROSS_CHECK_TOL:
         raise ConstraintViolated(
             f"dual Pohozaev cross-check failed: |T_v - 2* int F| / T_v = {rel:.3e}")
     return float((two_star * int_f) ** (2.0 / params.dim))

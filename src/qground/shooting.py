@@ -60,6 +60,11 @@ ODE_ATOL_REL = 1e-13
 TAIL_FLOOR_REL = 1e-9
 #: monitor evaluations allowed to each of the bracket and root-find phases
 MAX_HEIGHT_STEPS = 100
+#: relative gap of the measured far-field decay rate from sqrt(omega) that
+#: qualifies a tail match radius
+TAIL_RATE_TOL = 0.005
+#: Pohozaev and Nehari residuals below which a solve is accepted
+IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -241,13 +246,12 @@ class _Shooter:
                             f"after {MAX_HEIGHT_STEPS} steps")
 
 
-def _fit_tail(shooter: _Shooter, sol, a: float,
-              rate_tol: float = 0.005) -> tuple[Decay, float, float]:
+def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
     """Fitted analytic tail and the matched radius for the final trajectory.
 
     For omega > 0 the matching radius is chosen adaptively: the deepest
     far-field radius at which the measured decay rate -v'/v - (N-1)/(2 rho)
-    agrees with sqrt(omega) to rate_tol.  This backs away both from the
+    agrees with sqrt(omega) to TAIL_RATE_TOL.  This backs away both from the
     crossover region of deep-critical profiles (where the exponential law
     has not set in yet) and from the growing mode that the last bits of
     the height leave in the far field.
@@ -264,7 +268,7 @@ def _fit_tail(shooter: _Shooter, sol, a: float,
             cand_v = v_all[mask]
             cand_vp = sol.y[1][mask]
             rate = -cand_vp / cand_v - (n - 1) / (2.0 * cand_t)
-            ok = np.abs(rate / kappa - 1.0) <= rate_tol
+            ok = np.abs(rate / kappa - 1.0) <= TAIL_RATE_TOL
             # no candidate on the asymptotic law means the whole reachable
             # far field is still crossover; match as deep as possible, where
             # the remaining tail weight is smallest
@@ -316,10 +320,10 @@ class SolveReport:
     tail_rate_fit: float
     bracket: tuple[float, float]
 
-    def accepted(self, identity_tol: float = 1e-6) -> bool:
+    def accepted(self) -> bool:
         return bool(self.ode_residual < 1e-6 * abs(self.shooting_height)
-                    and self.pohozaev_residual < identity_tol
-                    and self.nehari_residual < identity_tol)
+                    and self.pohozaev_residual < IDENTITY_TOL
+                    and self.nehari_residual < IDENTITY_TOL)
 
     def to_json_dict(self) -> dict:
         d = {

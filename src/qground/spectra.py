@@ -40,6 +40,15 @@ KIND_DUAL = "dual"
 GUARANTEED_NEGATIVE = "guaranteed-negative"
 INCONCLUSIVE = "inconclusive"
 
+#: cells at R_max left out of the kernel residual's numerator
+KERNEL_BOUNDARY_SKIP = 3
+#: largest relative disagreement of the primal and dual M' routes
+MPRIME_CHECK_TOL = 5e-3
+#: largest Richardson error estimate of M', relative to its natural scale
+MPRIME_NEAR_SINGULAR_TOL = 0.01
+#: largest closed-form vs quadratic-form mismatch of a matrix L entry
+MATRIX_L_MISMATCH_TOL = 0.01
+
 
 def laplacian_of_u(u: RadialProfile, params: Params) -> np.ndarray:
     """Lap(u) at the nodes, from the stationary equation (no differencing)."""
@@ -219,8 +228,7 @@ def ground_pair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
     return float(vals[0]), vec
 
 
-def kernel_residual(op: DiscreteOperator, values: np.ndarray,
-                    boundary_skip: int = 3) -> float:
+def kernel_residual(op: DiscreteOperator, values: np.ndarray) -> float:
     """|L x|_D / |x|_D for a node-sampled candidate kernel element.
 
     The last few cells are excluded from the numerator: the Dirichlet
@@ -230,7 +238,7 @@ def kernel_residual(op: DiscreteOperator, values: np.ndarray,
     """
     x = op.restrict(values)
     lx = op.apply(x)
-    cut = len(lx) - boundary_skip if boundary_skip else len(lx)
+    cut = len(lx) - KERNEL_BOUNDARY_SKIP
     num = math.sqrt(float(np.sum(op.weights[:cut] * lx[:cut] ** 2)))
     return num / op.norm(x)
 
@@ -264,10 +272,13 @@ def coarsen_profile(profile: RadialProfile) -> RadialProfile:
                          decay=profile.decay)
 
 
-def _mprime_once(u: RadialProfile,
-                 params: Params) -> tuple[float, float, np.ndarray, float]:
-    """Primal and dual M' on u's grid, d_omega u, and the discrete |u|^2."""
-    op = assemble(u, params, ell=0, kind=KIND_LPLUS)
+def _mprime_once(u: RadialProfile, params: Params,
+                 op: Optional[DiscreteOperator] = None
+                 ) -> tuple[float, float, np.ndarray, float]:
+    """Primal and dual M' on u's grid, d_omega u, and the discrete |u|^2;
+    `op` is the l = 0 L+ operator of u, assembled here when not given."""
+    if op is None:
+        op = assemble(u, params, ell=0, kind=KIND_LPLUS)
     u_r = op.restrict(u.values)
     w = op.solve(-u_r)
     primal = 2.0 * op.inner(u_r, w)
@@ -281,9 +292,7 @@ def _mprime_once(u: RadialProfile,
 
 
 def mprime_resolvent(u: RadialProfile, params: Params,
-                     check_tol: float = 5e-3,
-                     richardson: bool = True,
-                     near_singular_tol: float = 0.01) -> MprimeResult:
+                     op_p0: Optional[DiscreteOperator] = None) -> MprimeResult:
     """M'(omega) from L+ (d_omega u) = -u, cross-checked in the dual variable.
 
     Solves the banded radial system directly: by non-degeneracy the radial
@@ -291,32 +300,32 @@ def mprime_resolvent(u: RadialProfile, params: Params,
     The O(h^2) discretization error is removed by Richardson extrapolation
     over the node hierarchy; a third level provides an error estimate (the
     difference of two successive extrapolations), and NearSingular is raised
-    when it exceeds near_singular_tol of the natural M' scale.  That happens
-    when the radial operator approaches a fold or the zero-energy dilation
-    resonance deep in the critical regime.  The same error is raised when
-    the two variable routes disagree beyond check_tol.
+    when it exceeds MPRIME_NEAR_SINGULAR_TOL of the natural M' scale.  That
+    happens when the radial operator approaches a fold or the zero-energy
+    dilation resonance deep in the critical regime.  The same error is
+    raised when the two variable routes disagree beyond MPRIME_CHECK_TOL.
+    `op_p0`, the l = 0 L+ operator of u, saves the finest level's assembly
+    when the caller already has it.
     """
-    primal, dual, w, mass = _mprime_once(u, params)
-    if richardson:
-        u2 = coarsen_profile(u)
-        p2, d2, _, _ = _mprime_once(u2, params)
-        p3, _, _, _ = _mprime_once(coarsen_profile(u2), params)
-        extrap = (4.0 * primal - p2) / 3.0
-        extrap_coarse = (4.0 * p2 - p3) / 3.0
-        # M' can legitimately cross zero (folds of the mass curve); the
-        # error scale is then set by M/omega rather than |M'| itself
-        scale = max(abs(extrap), 0.05 * mass / max(params.omega, 1e-300))
-        est = abs(extrap - extrap_coarse) / scale
-        if est > near_singular_tol:
-            raise NearSingular(
-                f"resolvent M' extrapolation error estimate {est:.2e} "
-                f"exceeds {near_singular_tol:.0e}; refine the grid or back "
-                f"away from the fold")
-        primal = extrap
-        dual = (4.0 * dual - d2) / 3.0
+    primal, dual, w, mass = _mprime_once(u, params, op_p0)
+    u2 = coarsen_profile(u)
+    p2, d2, _, _ = _mprime_once(u2, params)
+    p3, _, _, _ = _mprime_once(coarsen_profile(u2), params)
+    extrap = (4.0 * primal - p2) / 3.0
+    extrap_coarse = (4.0 * p2 - p3) / 3.0
+    # M' can legitimately cross zero (folds of the mass curve); the
+    # error scale is then set by M/omega rather than |M'| itself
+    scale = max(abs(extrap), 0.05 * mass / max(params.omega, 1e-300))
+    est = abs(extrap - extrap_coarse) / scale
+    if est > MPRIME_NEAR_SINGULAR_TOL:
+        raise NearSingular(
+            f"resolvent M' extrapolation error estimate {est:.2e} "
+            f"exceeds {MPRIME_NEAR_SINGULAR_TOL:.0e}; refine the grid or "
+            f"back away from the fold")
+    primal = extrap
+    dual = (4.0 * dual - d2) / 3.0
     result = MprimeResult(primal=primal, dual=dual, domega_u=w)
-    denom = scale if richardson else max(abs(primal), abs(dual), 1e-300)
-    if abs(primal - dual) / denom > check_tol:
+    if abs(primal - dual) / scale > MPRIME_CHECK_TOL:
         raise NearSingular(
             f"resolvent M' routes disagree by {result.agreement():.2e} "
             f"(primal {primal:.6g}, dual {dual:.6g})")
@@ -377,14 +386,13 @@ def matrix_l_critical_form(params: Params, mprime: float, mass: float,
 
 def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
              mprime: float, mass: float, dirichlet: float, quasi_grad: float,
-             potential: float, domega_u: np.ndarray,
-             mismatch_tol: float = 0.01) -> MatrixL:
+             potential: float, domega_u: np.ndarray) -> MatrixL:
     """Closed-form matrix L with the discrete quadratic forms as a check.
 
     `op` is the l = 0 L+ operator of u, assembled once per report, and
     d_omega u (on op's nodes) comes from the resolvent solve: it is never
     differenced.  Raises EntryMismatch when any entry's two routes
-    disagree beyond mismatch_tol relative to the entry scale.
+    disagree beyond MATRIX_L_MISMATCH_TOL relative to the entry scale.
     """
     entries = matrix_l_closed_form(params, mprime, mass, dirichlet,
                                    quasi_grad, potential)
@@ -401,7 +409,7 @@ def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
     det = float(np.linalg.det(entries))
     result = MatrixL(entries=entries, entries_form=form, det=det,
                      max_mismatch=mismatch)
-    if mismatch > mismatch_tol:
+    if mismatch > MATRIX_L_MISMATCH_TOL:
         raise EntryMismatch(
             f"matrix L routes disagree by {mismatch:.2e} relative")
     return result
@@ -492,7 +500,7 @@ def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
     u_r = op_m0.restrict(u.values)
     cosine = abs(op_m0.inner(vec0, u_r)) / (op_m0.norm(vec0) * op_m0.norm(u_r))
 
-    mp = mprime_resolvent(u, params)
+    mp = mprime_resolvent(u, params, op_p0)
     if d.mass is None:
         raise InvalidParams("spectral report needs a finite mass")
     mat = matrix_l(op_p0, u, params, mp.primal, d.mass, d.dirichlet,

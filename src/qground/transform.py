@@ -39,19 +39,21 @@ import numpy as np
 from .errors import InvalidParams, NoConvergence
 
 
+#: relative step at which the Newton inversion of h stops
+NEWTON_TOL = 1e-14
+#: Newton steps allowed to the inversion of h
+MAX_NEWTON_ITER = 60
+
+
 @dataclass(frozen=True)
 class TransformContext:
-    """Coupling plus Newton controls for evaluating the inverse map r."""
+    """The coupling delta, for evaluating h, its inverse r and f_omega."""
 
     delta: float
-    newton_tol: float = 1e-14
-    max_newton_iter: int = 60
 
     def __post_init__(self):
         if self.delta < 0:
             raise InvalidParams("delta must be >= 0 (0 selects the NLS oracle)")
-        if not (0 < self.newton_tol <= 1e-8):
-            raise InvalidParams("newton_tol must lie in (0, 1e-8]")
 
     @property
     def is_identity(self) -> bool:
@@ -88,8 +90,7 @@ def r_scalar(s: float, ctx: TransformContext) -> float:
     # r(s) <= s always; (2/d)^(1/4)*sqrt(s) is the large-s asymptote
     x = min(s, (2.0 / d) ** 0.25 * math.sqrt(s))
     lo, hi = 0.0, s
-    tol = ctx.newton_tol
-    for _ in range(ctx.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         f = _h_scalar(x, d) - s
         if f > 0.0:
             hi = x
@@ -99,7 +100,7 @@ def r_scalar(s: float, ctx: TransformContext) -> float:
         xn = x - step
         if not (lo < xn < hi):
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= tol * max(1.0, xn):
+        if abs(xn - x) <= NEWTON_TOL * max(1.0, xn):
             return sign * xn
         x = xn
     raise NoConvergence(f"Newton inversion of h stalled at s = {sign * s}")
@@ -120,7 +121,7 @@ def r(s, ctx: TransformContext):
     hi = a.copy()
     s2d = math.sqrt(2.0 * d)
     active = a > 0
-    for _ in range(ctx.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         if not active.any():
             break
         f = 0.5 * x * np.sqrt(1.0 + 2.0 * d * x * x) \
@@ -130,7 +131,7 @@ def r(s, ctx: TransformContext):
         xn = x - f / np.sqrt(1.0 + 2.0 * d * x * x)
         bad = (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        done = np.abs(xn - x) <= ctx.newton_tol * np.maximum(1.0, xn)
+        done = np.abs(xn - x) <= NEWTON_TOL * np.maximum(1.0, xn)
         x = np.where(active, xn, x)
         active &= ~done
     if active.any():

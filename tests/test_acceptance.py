@@ -411,3 +411,17 @@ def test_criterion_9_appendix_properties(crit3_branch, sub_branch,
     _report(9, "appendix properties", time.time() - t0,
             f"{len(reports)} profiles, GN constant spread "
             f"x{max(ratios) / min(ratios):.2f}")
+
+
+# ---------------------------------------------------------------------------
+# the parallel ladder schedule behind the session branches
+# ---------------------------------------------------------------------------
+
+def test_parallel_chunks_walk_warm(crit3_branch):
+    # each worker walks a contiguous chunk warm: seeding every point from
+    # the ladder's first point alone took 595 root-find integrations here
+    plan, store = crit3_branch
+    assert plan.jobs == 2
+    iterations = sum(r.report.iterations for r in store.records())
+    assert iterations < 595
+    assert run_sweep(plan).to_csv_string() == store.to_csv_string()

@@ -1,10 +1,12 @@
 import pytest
 
+from qground import branch
 from qground.asymptotics import ladder_derivative
 from qground.branch import (BranchStore, PointRecord, SweepPlan,
                             energy_identity_check, geometric_ladder,
                             run_sweep, scaled_height_guess)
-from qground.errors import InsufficientNeighbors, InvalidParams
+from qground.errors import (ConstraintViolated, InsufficientNeighbors,
+                            InvalidParams, NoConvergence)
 from qground.params import Params
 
 
@@ -26,6 +28,12 @@ class TestLadder:
             SweepPlan(dim=3, p=3, delta=0.0, omegas=(0.25, 0.5))
         with pytest.raises(InvalidParams):
             SweepPlan(dim=3, p=11, delta=1.0, omegas=(1.0,))
+
+    def test_plan_needs_a_job(self):
+        # checked when the plan is built, before any process could start
+        for jobs in (0, -1):
+            with pytest.raises(InvalidParams):
+                SweepPlan(dim=3, p=3, delta=0.0, omegas=(1.0,), jobs=jobs)
 
     def test_empty_ladder(self):
         store = run_sweep(SweepPlan(dim=3, p=3, delta=0.0, omegas=()))
@@ -75,6 +83,41 @@ class TestSweep:
         assert len(store.failures()) == 1
         assert "NoGroundState" in store.failures()[0][1]
         assert len(store.points()) == 1
+
+
+class TestWarmStartChain:
+    OMEGAS = (0.5, 0.25, 0.125)
+
+    def test_stripped_reports_keep_the_warm_start(self):
+        # dropping the reports must not turn the later points into cold solves
+        kept = run_sweep(SweepPlan(dim=3, p=3, delta=1.0, omegas=self.OMEGAS))
+        stripped = run_sweep(SweepPlan(dim=3, p=3, delta=1.0,
+                                       omegas=self.OMEGAS, keep_reports=False))
+        assert all(r.report is None for r in stripped.records())
+        assert stripped.to_csv_string() == kept.to_csv_string()
+
+    def test_guess_skips_a_failed_point(self, monkeypatch):
+        # the point after a failure is seeded from the last point that
+        # solved, rescaled to its own frequency
+        real = branch.solve_ground_state
+        guesses, heights = {}, {}
+
+        def flaky(params, cfg=None, guess=None):
+            guesses[params.omega] = guess
+            if params.omega == self.OMEGAS[1]:
+                raise NoConvergence("forced")
+            rep = real(params, cfg, guess=guess)
+            heights[params.omega] = rep.shooting_height
+            return rep
+
+        monkeypatch.setattr(branch, "solve_ground_state", flaky)
+        store = run_sweep(SweepPlan(dim=3, p=3, delta=1.0, omegas=self.OMEGAS))
+        assert [k for k, _ in store.failures()] == [
+            (3, 3.0, 1.0, self.OMEGAS[1], 1024)]
+        w0, _, w2 = self.OMEGAS
+        assert guesses[w0] is None
+        assert guesses[w2] == scaled_height_guess(
+            heights[w0], w0, w2, Params(3, 3, 1.0, w2))
 
 
 class TestStore:
@@ -177,3 +220,13 @@ class TestEnergyIdentity:
     def test_fine_ladder_identity(self):
         res = energy_identity_check(Params(3, 3, 0.0, 0.5))
         assert res < 1e-4
+
+    def test_failed_stencil_point_raises(self, monkeypatch):
+        def stalled(params, cfg=None, guess=None):
+            raise NoConvergence("forced stall")
+
+        monkeypatch.setattr(branch, "solve_ground_state", stalled)
+        with pytest.raises(ConstraintViolated, match="forced stall") as info:
+            energy_identity_check(Params(3, 3, 0.0, 0.5))
+        # the local ladder's top point, 0.5 / 0.95^2, is the first reported
+        assert f"omega={0.5 * 0.95 ** -2!r}" in str(info.value)

@@ -257,6 +257,29 @@ class TestSignWindow:
             mprime_sign_window(3, 2)
 
 
+class TestReportAssembly:
+    def test_radial_lplus_assembled_once(self, crit3, monkeypatch):
+        # the report's l = 0 L+ serves the finest resolvent level too: nine
+        # assemblies (four sectors, two kinds at each of three M' levels,
+        # less the shared one) and the same M' as a resolvent on its own
+        from qground import spectra
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "assemble", counted)
+        report = build_spectral_report(crit3)
+        assert len(calls) == 9
+        monkeypatch.undo()
+        alone = mprime_resolvent(crit3.u, crit3.params)
+        assert report.mprime.primal == alone.primal
+        assert report.mprime.dual == alone.dual
+        assert np.array_equal(report.mprime.domega_u, alone.domega_u)
+
+
 class TestReportSerialization:
     def test_json_fields(self, crit3):
         import json

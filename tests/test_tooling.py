@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps qground by attribute name; a rename in src/
 that it relies on breaks `bench/run.py --trace 1`.  This guards the names."""
 import importlib.util
+import os
 from pathlib import Path
 
-from qground import shooting
+from qground import branch, shooting
 from qground.params import Params
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -30,3 +31,32 @@ def test_tracer_installs_and_counts_a_solve():
     assert totals["shooting.integrations"] == rep.iterations + 1
     assert totals["shooting.bisect_steps"] == rep.iterations
     assert 1 <= totals["shooting.bracket_integrations"] <= rep.iterations
+
+
+def test_sweep_calls_compute_point_in_process():
+    # the warm_ladder workload times points by replacing
+    # branch.compute_point, and the tracer reads the guess from args[2]
+    calls = []
+    real = branch.compute_point
+
+    def spy(*args, **kwargs):
+        calls.append((os.getpid(), args, kwargs))
+        return real(*args, **kwargs)
+
+    plan = branch.SweepPlan(dim=3, p=3, delta=0.0, omegas=(1.0, 0.5, 0.25),
+                            jobs=1)
+    branch.compute_point = spy
+    try:
+        store = branch.run_sweep(plan)
+    finally:
+        branch.compute_point = real
+    assert [args[0].omega for _, args, _ in calls] == list(plan.omegas)
+    assert all(pid == os.getpid() for pid, _, _ in calls)
+    assert all(kwargs == {} and len(args) == 4 for _, args, kwargs in calls)
+    heights = [r.report.shooting_height for r in store.records()]
+    guesses = [args[2] for _, args, _ in calls]
+    assert guesses[0] is None
+    for i in (1, 2):
+        assert guesses[i] == branch.scaled_height_guess(
+            heights[i - 1], plan.omegas[i - 1], plan.omegas[i],
+            plan.params_at(plan.omegas[i]))

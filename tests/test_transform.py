@@ -105,8 +105,6 @@ class TestContext:
     def test_invalid_context(self):
         with pytest.raises(InvalidParams):
             TransformContext(-1.0)
-        with pytest.raises(InvalidParams):
-            TransformContext(1.0, newton_tol=1e-6)
 
 
 class TestNonlinearity:
