@@ -33,7 +33,6 @@ from .shooting import (ShootingConfig, SolveReport, nls_ground_state,
 from .spectra import (DiscreteOperator, MatrixL, SpectralReport, assemble,
                       build_spectral_report, low_spectrum, matrix_l,
                       mprime_resolvent, mprime_sign_window, negative_count)
-from .transform import (TransformContext, F_omega, f_omega, f_omega_prime, h,
-                        r, r_prime, r_second, s_star)
+from .transform import h, r, s_star
 
 __version__ = "0.1.0"

@@ -165,8 +165,8 @@ def fit_power_law(omegas: Sequence[float], values: Sequence[float],
     v = np.asarray(values, dtype=float)
     if len(w) < 3:
         raise InsufficientWindow("power-law fit needs at least three points")
-    if np.any(v <= 0) or np.any(w <= 0):
-        raise InvalidParams("power-law fit needs positive data")
+    if not np.all(np.isfinite(v) & (v > 0) & np.isfinite(w) & (w > 0)):
+        raise InvalidParams("power-law fit needs finite positive data")
     if log_exponent != 0.0 and np.any(w >= 1):
         raise InvalidParams("log-corrected models need omega < 1")
     x = np.log(w)

@@ -183,10 +183,9 @@ class BranchStore:
 def scaled_height_guess(prev_height: float, prev_omega: float, omega: float,
                         params: Params) -> float:
     """Warm-start height: the NLS law u(0) ~ w^{1/(p-1)} mapped through h."""
-    ctx = transform.TransformContext(params.delta)
-    u0 = transform.r(prev_height, ctx)
+    u0 = transform.r(prev_height, params)
     scaled = (omega / prev_omega) ** (1.0 / (params.p - 1.0)) * u0
-    return float(transform.h(scaled, ctx))
+    return float(transform.h(scaled, params))
 
 
 def compute_point(params: Params, resolution: int = 1024,

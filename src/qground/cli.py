@@ -397,7 +397,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, asymptotics.FitResult):
         return _jsonable(obj.__dict__)
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if hasattr(obj, "item"):   # numpy scalars
         return obj.item()

@@ -263,18 +263,18 @@ def critical_key_residual(u: RadialProfile, params: Params,
 
 def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params) -> float:
     """Variational level m_omega recovered from the solution v = h(u) of the
-    dual problem via m_omega = (2* int F_omega(v))^(2/N), F_omega taken on u.
+    dual problem via m_omega = (2* int F_omega)^(2/N), F_omega at v taken on u.
 
     The Pohozaev identity for the dual problem forces
-    int |grad v|^2 = 2* int F_omega(v); the two routes must agree to
+    int |grad v|^2 = 2* int F_omega; the two routes must agree to
     LEVEL_CROSS_CHECK_TOL or the solve is rejected (ConstraintViolated).
     """
     if params.dim < 3:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
-    f_vals = transform.F_omega_u(u.values, params.omega, params.p)
+    f_vals = transform.F_omega_u(u.values, params)
     tail = 0.0
     if v.decay is not None and v.decay.kind != DECAY_NONE:
-        # F_omega(s) ~ |s|^{p+1}/(p+1) - omega s^2 / 2 for small s
+        # F_omega ~ |s|^{p+1}/(p+1) - omega s^2 / 2 for small s
         tail = tail_moment(v.decay, params.dim, params.p + 1.0, 0.0,
                            v.grid.r_max) / (params.p + 1.0)
         if params.omega > 0:

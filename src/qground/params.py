@@ -209,6 +209,9 @@ R_CORE = 20.0
 ZERO_MASS_R_MAX = 1000.0
 MIN_RESOLUTION = 64
 CORE_NODE_FRACTION = 0.6
+#: largest stretch alpha of the sinh map; it puts a core fraction of
+#: R_max as small as sinh(48)/sinh(80) ~ 1.3e-14 under CORE_NODE_FRACTION
+MAX_STRETCH = 80.0
 
 
 def r_max_for(omega: float) -> float:
@@ -279,9 +282,13 @@ def make_grid(params_or_omega, resolution: int = 1024,
     if target >= CORE_NODE_FRACTION:          # nearly uniform domain
         alpha = 1e-8
     else:
-        alpha = brentq(
-            lambda a: np.sinh(CORE_NODE_FRACTION * a) / np.sinh(a) - target,
-            1e-8, 80.0)
+        def core_gap(a):
+            return np.sinh(CORE_NODE_FRACTION * a) / np.sinh(a) - target
+        if core_gap(MAX_STRETCH) > 0:
+            raise InvalidParams(
+                f"omega = {omega:g} needs R_max = {r_max:.3g}, too far for "
+                f"the grid's stretch to keep the core [0, {r_core:g}] resolved")
+        alpha = brentq(core_gap, 1e-8, MAX_STRETCH)
     xi = np.linspace(0.0, 1.0, resolution + 1)
     nodes = r_max * np.sinh(alpha * xi) / np.sinh(alpha)
     nodes[0] = 0.0

@@ -1,4 +1,4 @@
-"""Radial shooting for the dual semilinear problem -Delta v = f_omega(v).
+"""Radial shooting for the dual semilinear problem -Delta v = f_omega at v.
 
 The positive decaying solution is the center height v(0) = a* between
 trajectories that cross zero (a > a*) and trajectories that turn back up
@@ -81,10 +81,9 @@ def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
 
     v(r) = a - f(a) r^2 / (2N) + f'(a) f(a) r^4 / (8N(N+2)) + O(r^6).
     """
-    ctx = transform.TransformContext(params.delta)
-    u0 = transform.r_scalar(a, ctx)
-    fa = transform.f_omega_u(u0, params.omega, params.p, ctx)
-    fpa = transform.f_omega_prime_u(u0, params.omega, params.p, ctx)
+    u0 = transform.r_scalar(a, params)
+    fa = transform.f_omega_u(u0, params)
+    fpa = transform.f_omega_prime_u(u0, params)
     n = params.dim
     c2 = -fa / (2.0 * n)
     c4 = fpa * fa / (8.0 * n * (n + 2.0))
@@ -99,8 +98,7 @@ class _Shooter:
 
     def __init__(self, params: Params, r_max: float):
         self.params = params
-        self.ctx = transform.TransformContext(params.delta)
-        self.s_star = transform.s_star(params.omega, params.p, self.ctx)
+        self.s_star = transform.s_star(params)
         self.r_max = r_max
         self.integrations = 0
         n = params.dim
@@ -129,7 +127,7 @@ class _Shooter:
 
         events = [cross, turn]
         if final and self.params.omega > 0:
-            u_floor = transform.r_scalar(TAIL_FLOOR_REL * a, self.ctx)
+            u_floor = transform.r_scalar(TAIL_FLOOR_REL * a, self.params)
 
             def floor(rho, y):
                 return y[0] - u_floor
@@ -140,7 +138,7 @@ class _Shooter:
     def integrate(self, a: float, r_end: Optional[float] = None,
                   final: bool = False):
         v0, w0 = series_start(a, self.params, START_RADIUS)
-        y0 = (transform.r_scalar(v0, self.ctx), w0)
+        y0 = (transform.r_scalar(v0, self.params), w0)
         return solve_ivp(
             self.rhs, (START_RADIUS, r_end if r_end else self.r_max), y0,
             method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
@@ -167,7 +165,7 @@ class _Shooter:
         self.integrations += 1
         sol = self.integrate(a, r_end=rho_1)
         rho = float(sol.t[-1])
-        v = transform.h(float(sol.y[0, -1]), self.ctx)
+        v = transform.h(float(sol.y[0, -1]), self.params)
         return ((n - 2) * v + rho * float(sol.y[1, -1])) \
             * (rho_1 / rho) ** (n - 2)
 
@@ -177,7 +175,7 @@ class _Shooter:
         if guess is not None:
             # the NLS scaling law is exact at delta = 0, a few percent off
             # otherwise; expand_bracket repairs a one-sided guess
-            margin = 5e-13 if self.ctx.is_identity else 0.05
+            margin = 5e-13 if self.params.delta == 0.0 else 0.05
             return guess * (1.0 - margin), guess * (1.0 + margin)
         if self.params.omega > 0:
             return self.s_star, 10.0 * self.s_star
@@ -261,7 +259,7 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
     if params.omega > 0:
         kappa = math.sqrt(params.omega)
         v_far = 1e-5 * a
-        v_all = transform.h(sol.y[0], shooter.ctx)
+        v_all = transform.h(sol.y[0], params)
         mask = (v_all > 0) & (v_all <= v_far) & (sol.y[1] < 0)
         if mask.any():
             cand_t = sol.t[mask]
@@ -286,7 +284,7 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
         return decay, rho_m, rate_fit
     rho_m = ZERO_MASS_MATCH_FRACTION * shooter.r_max
     u_m, vp_m = (float(x) for x in sol.sol(rho_m))
-    v_m = transform.h(u_m, shooter.ctx)
+    v_m = transform.h(u_m, params)
     amp = v_m * rho_m ** (n - 2)
     decay = Decay(kind=DECAY_POWER, exponent=float(n - 2), amplitude=amp,
                   match_radius=rho_m, dim=n)
@@ -302,7 +300,8 @@ class SolveReport:
     sampled from the same (u, v') trajectory.  ode_residual is the sup-norm
     of the dual radial ODE residual measured on the dense trajectory;
     equivalence_residual is the relative residual of the quasilinear
-    equation rebuilt from v alone through r, r' and r'' by the chain rule.
+    equation rebuilt from v', and v'' from the dual equation, by the chain
+    rule with r, r' and r'' taken in closed form on the sampled u = r(v).
     """
 
     params: Params
@@ -357,7 +356,6 @@ class SolveReport:
 def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
                      decay: Decay) -> tuple[RadialProfile, RadialProfile]:
     params = shooter.params
-    ctx = shooter.ctx
     nodes = grid.nodes
     rho_m = decay.match_radius
     u = np.empty_like(nodes)
@@ -372,15 +370,15 @@ def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
     v[outer] = decay.value(nodes[outer])
     vp[outer] = decay.derivative(nodes[outer])
     inner = (nodes >= START_RADIUS) & (nodes <= rho_m)
-    u[~inner] = transform.r(v[~inner], ctx)
+    u[~inner] = transform.r(v[~inner], params)
     u[inner], vp[inner] = sol.sol(nodes[inner])
-    v[inner] = transform.h(u[inner], ctx)
+    v[inner] = transform.h(u[inner], params)
     v_profile = RadialProfile(grid=grid, values=v, derivative_values=vp,
                               decay=decay)
     # r(s) = s + O(s^3): the analytic tail carries over with the same
     # amplitude at the matching level used here
     u_profile = RadialProfile(grid=grid, values=u,
-                              derivative_values=vp / transform.h_prime(u, ctx),
+                              derivative_values=vp / transform.h_prime(u, params),
                               decay=decay)
     return v_profile, u_profile
 
@@ -420,7 +418,7 @@ def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     u_pts = sol.sol(pts.ravel())[0]
-    f_pts = transform.f_omega_u(u_pts, params.omega, params.p, shooter.ctx)
+    f_pts = transform.f_omega_u(u_pts, params)
     w_pts = pts.ravel() ** (n - 1) * f_pts
     cell_int = half * (w_pts.reshape(pts.shape) * _GAUSS_W[None, :]).sum(axis=1)
     defect = flux[1:] - flux[:-1] + cell_int
@@ -428,24 +426,23 @@ def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
     return float(np.max(np.abs(defect / volume)))
 
 
-def _equivalence_residual(shooter: _Shooter, v: RadialProfile,
+def _equivalence_residual(params: Params, v: RadialProfile,
                           u: RadialProfile) -> float:
     """Relative residual of the quasilinear equation for u = r(v).
 
-    Uses v'' from the dual equation, so this isolates the correctness of
-    the transform algebra (r, r', r'') rather than the integrator.
+    Uses v'' from the dual equation and carries v', v'' over to u by the
+    chain rule with r(v) = u, r'(v) = 1/h'(u) and r''(v) = -2 delta u/h'(u)^4,
+    all closed form on the u already sampled, so this isolates the
+    correctness of the transform algebra rather than the integrator.
     """
-    params = shooter.params
-    ctx = shooter.ctx
     nodes = v.grid.nodes[1:]
-    vv, vp = v.values[1:], v.derivative_values[1:]
+    vv, vp, uu = v.values[1:], v.derivative_values[1:], u.values[1:]
     keep = vv > 1e-7 * abs(v.values[0])
-    nodes, vv, vp = nodes[keep], vv[keep], vp[keep]
-    f_vals = transform.f_omega(vv, params.omega, params.p, ctx)
-    vpp = -(params.dim - 1) / nodes * vp - f_vals
-    rp = transform.r_prime(vv, ctx)
-    rpp = transform.r_second(vv, ctx)
-    uu = transform.r(vv, ctx)
+    nodes, vp, uu = nodes[keep], vp[keep], uu[keep]
+    vpp = -(params.dim - 1) / nodes * vp - transform.f_omega_u(uu, params)
+    hp = transform.h_prime(uu, params)
+    rp = 1.0 / hp
+    rpp = -2.0 * params.delta * uu / hp ** 4
     up = rp * vp
     upp = rpp * vp ** 2 + rp * vpp
     lap_u = upp + (params.dim - 1) / nodes * up
@@ -485,7 +482,7 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
     v_profile, u_profile = _sample_profiles(shooter, sol, a, grid, decay)
 
     ode_res = _ode_residual(shooter, sol, v_profile, rho_m)
-    equiv_res = _equivalence_residual(shooter, v_profile, u_profile)
+    equiv_res = _equivalence_residual(params, v_profile, u_profile)
     diag = integrals.compute_diagnostics(u_profile, params, v=v_profile)
     poh = integrals.pohozaev_residual(u_profile, params, diag)
     neh = integrals.nehari_residual(u_profile, params, diag)

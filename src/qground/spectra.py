@@ -31,7 +31,7 @@ from . import transform
 from .errors import (EntryMismatch, InvalidParams, NearSingular,
                      SingularShift)
 from .integrals import sphere_area
-from .params import Params, RadialProfile, classify
+from .params import Params, RadialGrid, RadialProfile, classify
 
 KIND_LPLUS = "L+"
 KIND_LMINUS = "L-"
@@ -88,17 +88,17 @@ class DiscreteOperator:
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(self.inner(x, x))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _stiffness(self, x: np.ndarray) -> np.ndarray:
         kx = self.diag * x
         kx[:-1] += self.off * x[1:]
         kx[1:] += self.off * x[:-1]
-        return kx / self.weights
+        return kx
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._stiffness(x) / self.weights
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
-        ky = self.diag * y
-        ky[:-1] += self.off * y[1:]
-        ky[1:] += self.off * y[:-1]
-        return float(np.sum(x * ky))
+        return float(np.sum(x * self._stiffness(y)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (D^{-1} K) w = rhs, i.e. K w = D rhs."""
@@ -140,8 +140,7 @@ def assemble(u: RadialProfile, params: Params, ell: int = 0,
         coeff_profile = None
     elif kind == KIND_DUAL:
         # -f_omega'(v) at v = h(u), in closed form on the nodes of u
-        ctx = transform.TransformContext(delta)
-        q = -transform.f_omega_prime_u(uu, params.omega, params.p, ctx)
+        q = -transform.f_omega_prime_u(uu, params)
         coeff_profile = None
     else:
         raise InvalidParams(f"unknown operator kind {kind!r}")
@@ -262,7 +261,6 @@ def coarsen_profile(profile: RadialProfile) -> RadialProfile:
     """The same profile on every other node: the sinh map at half the
     resolution reproduces exactly the even nodes, so this is the natural
     two-level hierarchy for Richardson checks."""
-    from .params import RadialGrid
     g = profile.grid
     coarse = RadialGrid(nodes=g.nodes[::2].copy(),
                         jacobian=g.jacobian[::2].copy(),
@@ -282,10 +280,9 @@ def _mprime_once(u: RadialProfile, params: Params,
     u_r = op.restrict(u.values)
     w = op.solve(-u_r)
     primal = 2.0 * op.inner(u_r, w)
-    ctx = transform.TransformContext(params.delta)
     op_d = assemble(u, params, ell=0, kind=KIND_DUAL)
     # eta = d_omega v of the dual problem's source: u r'(v) = u / h'(u)
-    eta = op_d.restrict(u.values / transform.h_prime(u.values, ctx))
+    eta = op_d.restrict(u.values / transform.h_prime(u.values, params))
     phi = op_d.solve(-eta)
     dual = 2.0 * op_d.inner(eta, phi)
     return primal, dual, w, op.inner(u_r, u_r)
@@ -305,8 +302,11 @@ def mprime_resolvent(u: RadialProfile, params: Params,
     dilation resonance deep in the critical regime.  The same error is
     raised when the two variable routes disagree beyond MPRIME_CHECK_TOL.
     `op_p0`, the l = 0 L+ operator of u, saves the finest level's assembly
-    when the caller already has it.
+    when the caller already has it.  M' is defined along omega > 0 only:
+    omega = 0 raises InvalidParams.
     """
+    if params.omega == 0.0:
+        raise InvalidParams("M'(omega) is defined for omega > 0 only")
     primal, dual, w, mass = _mprime_once(u, params, op_p0)
     u2 = coarsen_profile(u)
     p2, d2, _, _ = _mprime_once(u2, params)
@@ -315,7 +315,7 @@ def mprime_resolvent(u: RadialProfile, params: Params,
     extrap_coarse = (4.0 * p2 - p3) / 3.0
     # M' can legitimately cross zero (folds of the mass curve); the
     # error scale is then set by M/omega rather than |M'| itself
-    scale = max(abs(extrap), 0.05 * mass / max(params.omega, 1e-300))
+    scale = max(abs(extrap), 0.05 * mass / params.omega)
     est = abs(extrap - extrap_coarse) / scale
     if est > MPRIME_NEAR_SINGULAR_TOL:
         raise NearSingular(

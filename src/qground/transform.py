@@ -1,42 +1,42 @@
 """The change of variables between the quasilinear and semilinear problems.
 
 With coupling delta > 0, v = h(u) turns the quasilinear equation into
--Delta v = f_omega(v).  The forward map has the closed form
+-Delta v = f_omega at v.  The forward map has the closed form
 
     h(t) = t*sqrt(1 + 2*delta*t^2)/2 + asinh(sqrt(2*delta)*t)/(2*sqrt(2*delta))
 
 whose derivative is h'(t) = sqrt(1 + 2*delta*t^2), so the inverse r = h^{-1}
-satisfies r'(s) = 1/sqrt(1 + 2*delta*r(s)^2), r(0) = 0, extended to s < 0 as
-an odd function.
+satisfies r'(s) = 1/h'(r(s)), r(0) = 0, extended to s < 0 as an odd
+function, and r''(s) = -2*delta*r(s)*r'(s)^4.
 
-The dual nonlinearity is f_omega(s) = r'(s) * P_omega(r(s)) with
-P_omega(tau) = |tau|^(p-1)*tau - omega*tau, its primitive is
-F_omega(s) = |r(s)|^(p+1)/(p+1) - omega*r(s)^2/2, and
+With P_omega(tau) = |tau|^(p-1)*tau - omega*tau, the dual nonlinearity,
+its primitive and its derivative at s are
 
-    f_omega'(s) = r''(s)*P_omega(r(s)) + r'(s)^2 * P_omega'(r(s)),
-    r''(s) = -2*delta*r(s)*r'(s)^4.
+    f_omega  = r'(s) * P_omega(r(s)),
+    F_omega  = |r(s)|^(p+1)/(p+1) - omega*r(s)^2/2,
+    f_omega' = r''(s)*P_omega(r(s)) + r'(s)^2 * P_omega'(r(s)).
 
-Every one of these is a closed-form function of u = r(s): the *_u forms
-(f_omega_u, F_omega_u, f_omega_prime_u, h_prime) take u, and the solver,
-the quadrature and the spectral assembly evaluate them on u directly.  The
-inverse r itself has no closed form; it is evaluated by a safeguarded
-Newton iteration on h(x) = s (the negative branch always goes through sign
-symmetry) and is left for the few places that start from a value of v: the
-launch height and the event thresholds of each trajectory, the analytic
-tail of the dual profile, the warm-start guess, and the check of the
-transform algebra in the solver's equivalence residual.
+Every one of these is a closed-form function of u = r(s), and only the u
+forms are provided (f_omega_u, F_omega_u, f_omega_prime_u, h_prime): the
+solver, the quadrature and the spectral assembly evaluate them on u
+directly.  The inverse r itself has no closed form; it is evaluated by a
+safeguarded Newton iteration on h(x) = s (the negative branch always goes
+through sign symmetry) and runs only where a value of v is given: the
+launch values and the floor level of each trajectory, the nodes of the
+dual profile off the trajectory, and the warm-start guess.
 
-delta = 0 degenerates to the identity transform (r(s) = s), which serves as
-the plain-NLS oracle.
+Every function takes the validated Params last; only params.delta enters
+h and r.  delta = 0 degenerates to the identity transform (r(s) = s),
+which serves as the plain-NLS oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence
+from .errors import NoConvergence
+from .params import Params
 
 
 #: relative step at which the Newton inversion of h stops
@@ -45,28 +45,13 @@ NEWTON_TOL = 1e-14
 MAX_NEWTON_ITER = 60
 
 
-@dataclass(frozen=True)
-class TransformContext:
-    """The coupling delta, for evaluating h, its inverse r and f_omega."""
-
-    delta: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise InvalidParams("delta must be >= 0 (0 selects the NLS oracle)")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.delta == 0.0
-
-
-def h(t, ctx: TransformContext):
+def h(t, params: Params):
     """Forward map h(t); strictly increasing with h(0) = 0 and h(t) >= t."""
     t = np.asarray(t, dtype=float)
-    if ctx.is_identity:
+    if params.delta == 0.0:
         out = t
     else:
-        d = ctx.delta
+        d = params.delta
         s2d = math.sqrt(2.0 * d)
         out = 0.5 * t * np.sqrt(1.0 + 2.0 * d * t * t) \
             + np.arcsinh(s2d * t) / (2.0 * s2d)
@@ -79,14 +64,14 @@ def _h_scalar(x: float, d: float) -> float:
         + math.asinh(s2d * x) / (2.0 * s2d)
 
 
-def r_scalar(s: float, ctx: TransformContext) -> float:
+def r_scalar(s: float, params: Params) -> float:
     """Scalar Newton inversion of h; safeguarded by the bracket [0, |s|]."""
-    if ctx.is_identity or s == 0.0:
+    if params.delta == 0.0 or s == 0.0:
         return float(s)
     sign = 1.0
     if s < 0.0:
         sign, s = -1.0, -s
-    d = ctx.delta
+    d = params.delta
     # r(s) <= s always; (2/d)^(1/4)*sqrt(s) is the large-s asymptote
     x = min(s, (2.0 / d) ** 0.25 * math.sqrt(s))
     lo, hi = 0.0, s
@@ -106,14 +91,14 @@ def r_scalar(s: float, ctx: TransformContext) -> float:
     raise NoConvergence(f"Newton inversion of h stalled at s = {sign * s}")
 
 
-def r(s, ctx: TransformContext):
+def r(s, params: Params):
     """Inverse map r = h^{-1}, odd on all of R; |r(s)| <= |s|."""
     if np.ndim(s) == 0:
-        return r_scalar(float(s), ctx)
+        return r_scalar(float(s), params)
     s = np.asarray(s, dtype=float)
-    if ctx.is_identity:
+    if params.delta == 0.0:
         return s.copy()
-    d = ctx.delta
+    d = params.delta
     sign = np.sign(s)
     a = np.abs(s)
     x = np.minimum(a, (2.0 / d) ** 0.25 * np.sqrt(a))
@@ -139,68 +124,46 @@ def r(s, ctx: TransformContext):
     return sign * x
 
 
-def h_prime(u, ctx: TransformContext):
+def h_prime(u, params: Params):
     """h'(u) = sqrt(1 + 2*delta*u^2) >= 1, so r'(h(u)) = 1/h'(u)."""
-    out = np.sqrt(1.0 + 2.0 * ctx.delta * np.square(u))
+    out = np.sqrt(1.0 + 2.0 * params.delta * np.square(u))
     return out if np.ndim(out) else float(out)
 
 
-def r_prime(s, ctx: TransformContext):
-    """r'(s) = (1 + 2*delta*r(s)^2)^(-1/2); lies in (0, 1]."""
-    return 1.0 / h_prime(r(s, ctx), ctx)
-
-
-def r_second(s, ctx: TransformContext):
-    """r''(s) = -2*delta*r(s)*r'(s)^4; nonpositive for s >= 0."""
-    rr = r(s, ctx)
-    return -2.0 * ctx.delta * rr * (1.0 / h_prime(rr, ctx)) ** 4
-
-
-def f_omega_u(u, omega: float, p: float, ctx: TransformContext):
-    """f_omega(h(u)) = (|u|^(p-1) u - omega u) / h'(u), closed form in u."""
-    out = (np.abs(u) ** (p - 1.0) * u - omega * u) / h_prime(u, ctx)
+def f_omega_u(u, params: Params):
+    """f_omega at h(u): (|u|^(p-1) u - omega u) / h'(u), closed form in u."""
+    out = (np.abs(u) ** (params.p - 1.0) * u - params.omega * u) \
+        / h_prime(u, params)
     return out if np.ndim(out) else float(out)
 
 
-def F_omega_u(u, omega: float, p: float):
-    """F_omega(h(u)) = |u|^(p+1)/(p+1) - omega*u^2/2, closed form in u."""
-    out = np.abs(u) ** (p + 1.0) / (p + 1.0) - 0.5 * omega * np.square(u)
+def F_omega_u(u, params: Params):
+    """F_omega at h(u): |u|^(p+1)/(p+1) - omega*u^2/2, closed form in u."""
+    p = params.p
+    out = np.abs(u) ** (p + 1.0) / (p + 1.0) - 0.5 * params.omega * np.square(u)
     return out if np.ndim(out) else float(out)
 
 
-def f_omega_prime_u(u, omega: float, p: float, ctx: TransformContext):
-    """f_omega'(h(u)) = r'' P_omega(u) + (r')^2 P_omega'(u), closed form in u."""
-    rp2 = 1.0 / (1.0 + 2.0 * ctx.delta * np.square(u))
-    rpp = -2.0 * ctx.delta * u * rp2 * rp2
+def f_omega_prime_u(u, params: Params):
+    """f_omega' at h(u): r'' P_omega(u) + (r')^2 P_omega'(u), closed form in u."""
+    p, omega = params.p, params.omega
+    rp2 = 1.0 / (1.0 + 2.0 * params.delta * np.square(u))
+    rpp = -2.0 * params.delta * u * rp2 * rp2
     p_val = np.abs(u) ** (p - 1.0) * u - omega * u
     p_der = p * np.abs(u) ** (p - 1.0) - omega
     out = rpp * p_val + rp2 * p_der
     return out if np.ndim(out) else float(out)
 
 
-def f_omega(s, omega: float, p: float, ctx: TransformContext):
-    """Dual nonlinearity f_omega(s) = r'(s) * (|r|^(p-1) r - omega r)(s)."""
-    return f_omega_u(r(s, ctx), omega, p, ctx)
-
-
-def F_omega(s, omega: float, p: float, ctx: TransformContext):
-    """Primitive of f_omega: |r(s)|^(p+1)/(p+1) - omega*r(s)^2/2."""
-    return F_omega_u(r(s, ctx), omega, p)
-
-
-def f_omega_prime(s, omega: float, p: float, ctx: TransformContext):
-    """f_omega'(s) = r'' P_omega(r) + (r')^2 P_omega'(r)."""
-    return f_omega_prime_u(r(s, ctx), omega, p, ctx)
-
-
-def s_star(omega: float, p: float, ctx: TransformContext) -> float:
+def s_star(params: Params) -> float:
     """Positive zero of F_omega: solves r(s*)^(p-1) = (p+1)*omega/2.
 
     F_omega < 0 on (0, s*) and > 0 beyond; trajectories started at or below
     s* can never reach zero, which makes s* the natural lower shooting
     bracket.  Returns 0 for omega = 0 (F_0 > 0 everywhere).
     """
-    if omega == 0.0:
+    if params.omega == 0.0:
         return 0.0
-    tau = ((p + 1.0) * omega / 2.0) ** (1.0 / (p - 1.0))
-    return float(h(tau, ctx))
+    p = params.p
+    tau = ((p + 1.0) * params.omega / 2.0) ** (1.0 / (p - 1.0))
+    return float(h(tau, params))

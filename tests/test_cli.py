@@ -98,6 +98,22 @@ class TestSpectrumCommand:
         root = tmp_path / "spectrum-N3-p3-d1-w1"
         assert (root / "spectrum.json").exists()
 
+    def test_zero_mass_has_no_mprime(self, tmp_path, capsys, monkeypatch,
+                                     zero_mass53):
+        # M' lives along omega > 0; the zero-mass solve is the fixture's
+        from qground import cli
+
+        def solved(params, cfg):
+            assert params == zero_mass53.params
+            return zero_mass53
+
+        monkeypatch.setattr(cli, "solve_ground_state", solved)
+        code = main(["spectrum", "--dim", "5", "--p", "3", "--delta", "1",
+                     "--omega", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "omega > 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFitCommand:
     def test_refit_stored_branch(self, tmp_path, capsys):
@@ -130,6 +146,39 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(path) in err
+
+    @staticmethod
+    def _branch_csv(path, masses):
+        rows = [f"{w!r},{m!r},nan,nan,1,1,1,1,nan,nan"
+                for w, m in zip((1.0, 0.5, 0.25), masses)]
+        path.write_text("omega,M,Mprime_fd,Mprime_res,T,beta,Qgrad,E,"
+                        "m_omega,lambda\n" + "\n".join(rows) + "\n")
+
+    def test_failed_point_mass_is_rejected(self, tmp_path, capsys):
+        # a failed sweep point stores M = nan
+        path = tmp_path / "branch.csv"
+        self._branch_csv(path, (2.0, float("nan"), 4.0))
+        code = main(["fit", "--branch", str(path), "--dim", "3", "--p", "3",
+                     "--delta", "0"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_three_point_fit_is_strict_json(self, tmp_path, capsys):
+        # AICc is infinite for three points; it must not print as Infinity
+        path = tmp_path / "branch.csv"
+        self._branch_csv(path, (2.0, 2.0 * 2 ** 0.5, 4.0))
+        code = main(["fit", "--branch", str(path), "--dim", "3", "--p", "3",
+                     "--delta", "0", "--out", str(tmp_path / "out")])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for text in (capsys.readouterr().out,
+                     (tmp_path / "out" / "fits.json").read_text()):
+            payload = json.loads(text, parse_constant=reject)
+            assert payload["mass_fit"]["aicc"] is None
+            assert payload["mass_fit"]["exponent"] == pytest.approx(-0.5)
 
 
 #: reduced ladders per regime, with the gates (value, pass) they give: the

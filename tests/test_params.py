@@ -106,6 +106,14 @@ class TestGrid:
         # more room in the core: the median node moves outward
         assert np.median(wide.nodes) > np.median(narrow.nodes)
 
+    def test_stretch_limit_is_a_typed_error(self):
+        # below omega ~ 1e-28 the core is a smaller fraction of R_max than
+        # the largest stretch of the sinh map can resolve
+        assert make_grid(Params(2, 3, 0.0, 1e-28), 64).alpha < 80.0
+        for omega in (1e-29, 1e-300):
+            with pytest.raises(InvalidParams, match="omega = .*R_max = "):
+                make_grid(Params(2, 3, 0.0, omega), 64)
+
 
 class TestProfileCsv:
     def test_header_and_precision(self, nls33):

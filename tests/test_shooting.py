@@ -9,7 +9,7 @@ from qground.params import Params
 from qground import shooting
 from qground.shooting import (ShootingConfig, _Shooter, nls_ground_state,
                               series_start, solve_ground_state)
-from qground.transform import TransformContext, h, r
+from qground.transform import f_omega_u, h, r
 
 # frozen oracle values from tests/oracle.py (independent Radau shooting at
 # bisection tolerance 1e-13, adaptive quadrature for the norms)
@@ -58,8 +58,7 @@ class TestSeriesStart:
     def test_stationary_height(self):
         # f_omega(a) = 0 at r(a)^{p-1} = omega: the series is constant
         params = Params(3, 3, 1.0, 0.49)
-        ctx = TransformContext(1.0)
-        a = h(0.7, ctx)    # r(a) = 0.7, 0.7^2 = 0.49 = omega
+        a = h(0.7, params)    # r(a) = 0.7, 0.7^2 = 0.49 = omega
         v, vp = series_start(a, params, 1e-3)
         assert v == pytest.approx(a, rel=1e-12)
         assert vp == pytest.approx(0.0, abs=1e-12)
@@ -75,17 +74,15 @@ class TestSeriesStart:
         # independent check: integrate from nearly zero with a tight solver
         params = Params(3, 3, 1.0, 0.8)
         a, r0 = 2.0, 1e-3
-        from qground.transform import f_omega
 
-        ctx = TransformContext(params.delta)
+        def f_omega(s):
+            return f_omega_u(r(s, params), params)
 
         def rhs(rho, y):
-            return (y[1], -2.0 / rho * y[1]
-                    - f_omega(y[0], params.omega, params.p, ctx))
+            return (y[1], -2.0 / rho * y[1] - f_omega(y[0]))
 
         seed = 1e-8
-        sol = solve_ivp(rhs, (seed, r0), [a, -f_omega(a, 0.8, 3.0, ctx)
-                                          * seed / 3.0],
+        sol = solve_ivp(rhs, (seed, r0), [a, -f_omega(a) * seed / 3.0],
                         method="Radau", rtol=1e-12, atol=1e-14)
         v, vp = series_start(a, params, r0)
         assert v == pytest.approx(sol.y[0, -1], rel=1e-10)
@@ -129,9 +126,8 @@ class TestReports:
             assert rep.u.is_positive_decreasing()
 
     def test_u_is_r_of_v(self, crit3):
-        ctx = TransformContext(crit3.params.delta)
         # forward consistency: h(u) returns v to Newton tolerance
-        back = h(crit3.u.values, ctx)
+        back = h(crit3.u.values, crit3.params)
         scale = abs(crit3.shooting_height)
         assert np.max(np.abs(back - crit3.v.values)) < 1e-10 * scale
         assert np.all(crit3.u.values <= crit3.v.values + 1e-15)
@@ -204,6 +200,24 @@ class TestDualState:
         assert counts["r"] <= 5 * n
         assert counts["h_scalar"] <= 40 * n
 
+    def test_one_vectorised_inverse_per_solve(self, monkeypatch, sub32):
+        # the dual profile off the trajectory is the only array given in v;
+        # the equivalence residual works on the sampled u
+        from qground import transform
+
+        calls = []
+        r_vector = transform.r
+
+        def count_r(s, params):
+            if np.ndim(s):
+                calls.append(s)
+            return r_vector(s, params)
+
+        monkeypatch.setattr(transform, "r", count_r)
+        rep = solve_ground_state(sub32.params)
+        assert rep.shooting_height == sub32.shooting_height
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("case, budget", [
         ((3, 2, 1.0, 1.0), 30), ((5, 3, 1.0, 0.0), 79),
         ((3, 7, 1.0, 0.0), 93)])
@@ -229,8 +243,7 @@ class TestDualState:
 
     def test_v_is_h_of_u(self, sub32, crit3, super53):
         for rep in (sub32, crit3, super53):
-            ctx = TransformContext(rep.params.delta)
-            err = np.max(np.abs(h(rep.u.values, ctx) - rep.v.values))
+            err = np.max(np.abs(h(rep.u.values, rep.params) - rep.v.values))
             assert err <= 1e-14 * rep.v.values[0]
 
     def test_heights_pinned(self, sub32, crit3, super53):

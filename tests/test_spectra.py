@@ -12,7 +12,7 @@ from qground.spectra import (GUARANTEED_NEGATIVE, INCONCLUSIVE, assemble,
                              matrix_l_closed_form, matrix_l_critical_form,
                              mprime_resolvent, mprime_sign_window,
                              negative_count)
-from qground.transform import TransformContext, r_prime
+from qground.transform import h_prime, r
 
 
 class TestAssembly:
@@ -62,8 +62,7 @@ class TestAssembly:
     def test_conjugation_identity(self, crit3):
         # L+ w = (-Lap - f'(v)) (w / r'(v)) / r'(v) on smooth test functions
         params = crit3.params
-        ctx = TransformContext(params.delta)
-        rp = r_prime(crit3.v.values, ctx)
+        rp = 1.0 / h_prime(r(crit3.v.values, params), params)
         rng = np.random.default_rng(7)
         op_p = assemble(crit3.u, params, ell=0, kind="L+")
         op_d = assemble(crit3.u, params, ell=0, kind="dual")
@@ -88,8 +87,7 @@ class TestAssembly:
         for res in (512, 1024):
             rep = solve_ground_state(Params(3, 5, 1.0, 2.0 ** -6),
                                      ShootingConfig(resolution=res))
-            ctx = TransformContext(1.0)
-            rp = r_prime(rep.v.values, ctx)
+            rp = 1.0 / h_prime(r(rep.v.values, rep.params), rep.params)
             rho = rep.u.grid.nodes
             w = np.exp(-0.7 * rho ** 2) * (1.0 + 0.2 * rho)
             op_p = assemble(rep.u, rep.params, ell=0, kind="L+")
@@ -150,6 +148,12 @@ class TestSpectrum:
 
 
 class TestMprime:
+    def test_zero_mass_is_invalid(self, zero_mass53):
+        # M' is defined along omega > 0; at omega = 0 its error scale M/omega
+        # has no meaning and neither guard could fire
+        with pytest.raises(InvalidParams):
+            mprime_resolvent(zero_mass53.u, zero_mass53.params)
+
     def test_nls_closed_form(self, nls33):
         # M_NLS = omega^{-1/2} |Q|_2^2, so M'(1) = -M(1)/2
         mp = mprime_resolvent(nls33.u, nls33.params)

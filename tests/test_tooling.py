@@ -31,6 +31,8 @@ def test_tracer_installs_and_counts_a_solve():
     assert totals["shooting.integrations"] == rep.iterations + 1
     assert totals["shooting.bisect_steps"] == rep.iterations
     assert 1 <= totals["shooting.bracket_integrations"] <= rep.iterations
+    # one vectorised inverse of h per solve, for the off-trajectory nodes
+    assert totals["transform.vector_calls"] == 1
 
 
 def test_sweep_calls_compute_point_in_process():
