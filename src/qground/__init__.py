@@ -20,7 +20,7 @@ from .errors import (AmbiguousTrajectory, BracketFailure, ConstraintViolated,
                      Divergent, EntryMismatch, InsufficientNeighbors,
                      InsufficientWindow, InvalidParams, NearSingular,
                      NoConvergence, NoGroundState, QGroundError,
-                     RegimeMismatch, SingularShift)
+                     RegimeMismatch)
 from .integrals import (ScalarDiagnostics, compute_diagnostics,
                         critical_key_residual, gn_check, gn_ratio,
                         integrate_radial, level_m_omega, moser_bound_check,

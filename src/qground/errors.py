@@ -49,9 +49,5 @@ class NearSingular(QGroundError):
     """A linear solve sits too close to a spectral fold to be trusted."""
 
 
-class SingularShift(QGroundError):
-    """A shifted factorization hit an exact eigenvalue; retry with jitter."""
-
-
 class EntryMismatch(QGroundError):
     """Closed-form and quadratic-form routes to a matrix entry disagree."""

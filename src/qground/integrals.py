@@ -23,8 +23,8 @@ from scipy.special import gamma as gamma_fn
 
 from . import transform
 from .errors import ConstraintViolated, Divergent, InvalidParams
-from .params import (DECAY_EXPONENTIAL, DECAY_NONE, DECAY_POWER, Decay,
-                     Params, RadialGrid, RadialProfile, classify)
+from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
+                     RadialGrid, RadialProfile, classify)
 
 #: largest relative gap of the dual Pohozaev cross-check in level_m_omega
 LEVEL_CROSS_CHECK_TOL = 1e-6
@@ -86,7 +86,7 @@ def tail_moment(decay: Optional[Decay], dim: int, k: float, j: float,
     j shifts the radial power (derivative cross terms need j in {-1, -2}).
     Raises Divergent when the power-law tail integral does not converge.
     """
-    if decay is None or decay.kind == DECAY_NONE:
+    if decay is None:
         return 0.0
     area = sphere_area(dim)
     if decay.kind == DECAY_EXPONENTIAL:
@@ -110,7 +110,7 @@ def tail_moment(decay: Optional[Decay], dim: int, k: float, j: float,
 def _derivative_tail(decay: Optional[Decay], dim: int, k_val: float,
                      r_from: float) -> float:
     """Tail of int u^(k_val-2) * (u')^2 dx from the analytic decay form."""
-    if decay is None or decay.kind == DECAY_NONE:
+    if decay is None:
         return 0.0
     if decay.kind == DECAY_EXPONENTIAL:
         # u' = -(kappa + (N-1)/(2 rho)) u
@@ -273,7 +273,7 @@ def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params) -> float:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
     f_vals = transform.F_omega_u(u.values, params)
     tail = 0.0
-    if v.decay is not None and v.decay.kind != DECAY_NONE:
+    if v.decay is not None:
         # F_omega ~ |s|^{p+1}/(p+1) - omega s^2 / 2 for small s
         tail = tail_moment(v.decay, params.dim, params.p + 1.0, 0.0,
                            v.grid.r_max) / (params.p + 1.0)

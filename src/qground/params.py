@@ -208,6 +208,8 @@ def classify(params: Params) -> Regime:
 R_CORE = 20.0
 ZERO_MASS_R_MAX = 1000.0
 MIN_RESOLUTION = 64
+#: largest grid resolution; every caller stays at or below 2048
+MAX_RESOLUTION = 2 ** 16
 CORE_NODE_FRACTION = 0.6
 #: largest stretch alpha of the sinh map; it puts a core fraction of
 #: R_max as small as sinh(48)/sinh(80) ~ 1.3e-14 under CORE_NODE_FRACTION
@@ -267,8 +269,9 @@ def make_grid(params_or_omega, resolution: int = 1024,
     """
     omega = params_or_omega.omega if isinstance(params_or_omega, Params) \
         else float(params_or_omega)
-    if resolution < MIN_RESOLUTION:
-        raise InvalidParams(f"resolution must be >= {MIN_RESOLUTION}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise InvalidParams(f"resolution must lie in "
+                            f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     resolution = int(resolution) + (int(resolution) % 2)  # Simpson wants even
     if r_max is None:
         r_max = r_max_for(omega)
@@ -303,7 +306,6 @@ def make_grid(params_or_omega, resolution: int = 1024,
 
 DECAY_EXPONENTIAL = "exponential"
 DECAY_POWER = "power"
-DECAY_NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -361,7 +363,7 @@ class RadialProfile:
                 self.grid.nodes, self.values, self.derivative_values)
         rho = np.asarray(rho, dtype=float)
         out = self._interp(np.clip(rho, 0.0, self.grid.r_max))
-        if self.decay is not None and self.decay.kind != DECAY_NONE:
+        if self.decay is not None:
             far = rho > self.grid.r_max
             if np.any(far):
                 out = np.where(far, self.decay.value(np.maximum(rho, 1e-300)), out)

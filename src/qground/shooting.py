@@ -14,9 +14,9 @@ positive below a* and negative above it:
                 crosses or turns before rho_1
 
 A bracket phase grows [lo, hi] geometrically until phi changes sign, and
-regula falsi with the Illinois rule (Dowell & Jarratt, BIT 11, 1971) shrinks
-it to a relative width of HEIGHT_RTOL.  Each trajectory integrates
-(u, w = v') with v = h(u) and h'(u) closed form:
+Brent's method (scipy.optimize.brentq) shrinks it to a relative width of
+HEIGHT_RTOL; the ground state is non-degenerate, so a* is a simple root.
+Each trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
 
     u' = w / h'(u),    w' = -(N-1)/rho w - (|u|^{p-1} u - omega u) / h'(u),
 
@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import integrals, transform
 from .errors import (AmbiguousTrajectory, BracketFailure, InvalidParams,
@@ -210,38 +211,38 @@ class _Shooter:
                              f"between {lo!r} and {hi!r}")
 
     def find_height(self, guess: Optional[float]) -> tuple[float, float]:
-        """Bracket [lo, hi] of the height, at most HEIGHT_RTOL wide, with
-        phi(lo) >= 0 >= phi(hi).
+        """Bracket [lo, hi] of the height, at most HEIGHT_RTOL wide: the
+        tightest monitored points with phi(lo) >= 0 >= phi(hi).
 
-        Regula falsi with the Illinois rule: an end that survives two steps
-        in a row has its phi halved, so both ends converge.  While lo is
-        known by its sign alone the step bisects."""
+        While lo is known by its sign alone (phi = +inf) the bracket is
+        bisected; Brent's method takes the finite bracket from there.  Both
+        share one budget of MAX_HEIGHT_STEPS monitor calls, and a memo
+        keeps brentq from integrating the bracket ends again."""
         lo, f_lo, hi, f_hi = self.expand_bracket(*self.initial_bracket(guess))
-        side = 0
-        for _ in range(MAX_HEIGHT_STEPS):
-            if f_lo == 0.0:
-                return lo, lo
-            if f_hi == 0.0:
-                return hi, hi
-            if hi - lo <= HEIGHT_RTOL * hi:
-                return lo, hi
-            if math.isinf(f_lo):
-                a = 0.5 * (lo + hi)
+        memo = {lo: f_lo, hi: f_hi}
+
+        def phi(a: float) -> float:
+            if a not in memo:
+                memo[a] = self.monitor(a)
+            return memo[a]
+
+        budget = MAX_HEIGHT_STEPS
+        while math.isinf(memo[lo]) and budget:
+            budget -= 1
+            a = 0.5 * (lo + hi)
+            if phi(a) > 0.0:
+                lo = a
             else:
-                a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            f = self.monitor(a)
-            if f > 0.0:
-                lo, f_lo = a, f
-                if side > 0:
-                    f_hi *= 0.5
-                side = 1
-            else:
-                hi, f_hi = a, f
-                if side < 0:
-                    f_lo *= 0.5
-                side = -1
-        raise NoConvergence(f"height root-find stalled in [{lo!r}, {hi!r}] "
-                            f"after {MAX_HEIGHT_STEPS} steps")
+                hi = a
+        # the width is relative only; brentq needs some positive xtol
+        _, res = brentq(phi, lo, hi, xtol=1e-300, rtol=HEIGHT_RTOL,
+                        maxiter=budget, full_output=True, disp=False)
+        lo = max(a for a, f in memo.items() if f >= 0.0)
+        hi = min(a for a, f in memo.items() if f <= 0.0)
+        if not res.converged:
+            raise NoConvergence(f"height root-find stalled in [{lo!r}, "
+                                f"{hi!r}] after {MAX_HEIGHT_STEPS} steps")
+        return lo, hi
 
 
 def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:

@@ -10,10 +10,10 @@ quasilinear equation around the ground state u:
 and the dual-side operator is -Lap - f_omega'(v) acting on the semilinear
 variable.  Each is discretized per angular sector l from its divergence
 form by a finite-volume scheme on the radial grid: the resulting matrix is
-symmetric tridiagonal under the cell-volume inner product, so eigenvalue
-counts come from a Sturm pivot sweep and low eigenvalues from the
-tridiagonal eigensolver.  Lap(u) is evaluated algebraically from the
-equation itself, never by differencing:
+symmetric tridiagonal under the cell-volume inner product, so SciPy's
+tridiagonal eigensolver gives both the low eigenvalues and, by LAPACK's
+bisection over (-inf, -tol], the negative-eigenvalue counts.  Lap(u) is
+evaluated algebraically from the equation itself, never by differencing:
 
     Lap(u) = (omega u - u^p - 2 delta u (u')^2) / (1 + 2 delta u^2).
 """
@@ -28,8 +28,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from . import transform
-from .errors import (EntryMismatch, InvalidParams, NearSingular,
-                     SingularShift)
+from .errors import EntryMismatch, InvalidParams, NearSingular
 from .integrals import sphere_area
 from .params import Params, RadialGrid, RadialProfile, classify
 
@@ -181,33 +180,12 @@ def assemble(u: RadialProfile, params: Params, ell: int = 0,
                             weights=weights)
 
 
-def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix below `shift`."""
-    count = 0
-    d = diag[0] - shift
-    if d == 0.0:
-        raise SingularShift("pivot hit an exact eigenvalue")
-    if d < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = diag[i] - shift - off[i - 1] ** 2 / d
-        if d == 0.0:
-            raise SingularShift("pivot hit an exact eigenvalue")
-        if d < 0:
-            count += 1
-    return count
-
-
 def negative_count(op: DiscreteOperator, tol: float = 0.0) -> int:
-    """Count of eigenvalues strictly below -tol (Sturm pivot sweep)."""
+    """Count of eigenvalues at or below -tol (LAPACK bisection)."""
     diag, off = op.scaled_tridiagonal()
-    shift = -abs(tol)
-    for jitter in (0.0, 1e-14, -1e-14, 1e-12):
-        try:
-            return _sturm_count(diag, off, shift + jitter * max(1.0, abs(shift)))
-        except SingularShift:
-            continue
-    raise SingularShift("negative_count failed for all jittered shifts")
+    return len(eigh_tridiagonal(diag, off, select="v",
+                                select_range=(-np.inf, -abs(tol)),
+                                eigvals_only=True))
 
 
 def low_spectrum(op: DiscreteOperator, k: int = 6) -> np.ndarray:
@@ -270,22 +248,25 @@ def coarsen_profile(profile: RadialProfile) -> RadialProfile:
                          decay=profile.decay)
 
 
-def _mprime_once(u: RadialProfile, params: Params,
-                 op: Optional[DiscreteOperator] = None
-                 ) -> tuple[float, float, np.ndarray, float]:
-    """Primal and dual M' on u's grid, d_omega u, and the discrete |u|^2;
-    `op` is the l = 0 L+ operator of u, assembled here when not given."""
+def _mprime_primal(u: RadialProfile, params: Params,
+                   op: Optional[DiscreteOperator] = None
+                   ) -> tuple[float, np.ndarray, float]:
+    """Primal M' on u's grid, d_omega u, and the discrete |u|^2; `op` is
+    the l = 0 L+ operator of u, assembled here when not given."""
     if op is None:
         op = assemble(u, params, ell=0, kind=KIND_LPLUS)
     u_r = op.restrict(u.values)
     w = op.solve(-u_r)
-    primal = 2.0 * op.inner(u_r, w)
+    return 2.0 * op.inner(u_r, w), w, op.inner(u_r, u_r)
+
+
+def _mprime_dual(u: RadialProfile, params: Params) -> float:
+    """Dual M' on u's grid."""
     op_d = assemble(u, params, ell=0, kind=KIND_DUAL)
     # eta = d_omega v of the dual problem's source: u r'(v) = u / h'(u)
     eta = op_d.restrict(u.values / transform.h_prime(u.values, params))
     phi = op_d.solve(-eta)
-    dual = 2.0 * op_d.inner(eta, phi)
-    return primal, dual, w, op.inner(u_r, u_r)
+    return 2.0 * op_d.inner(eta, phi)
 
 
 def mprime_resolvent(u: RadialProfile, params: Params,
@@ -307,10 +288,13 @@ def mprime_resolvent(u: RadialProfile, params: Params,
     """
     if params.omega == 0.0:
         raise InvalidParams("M'(omega) is defined for omega > 0 only")
-    primal, dual, w, mass = _mprime_once(u, params, op_p0)
+    primal, w, mass = _mprime_primal(u, params, op_p0)
+    dual = _mprime_dual(u, params)
     u2 = coarsen_profile(u)
-    p2, d2, _, _ = _mprime_once(u2, params)
-    p3, _, _, _ = _mprime_once(coarsen_profile(u2), params)
+    p2, _, _ = _mprime_primal(u2, params)
+    d2 = _mprime_dual(u2, params)
+    # the coarsest level only estimates the primal route's error
+    p3, _, _ = _mprime_primal(coarsen_profile(u2), params)
     extrap = (4.0 * primal - p2) / 3.0
     extrap_coarse = (4.0 * p2 - p3) / 3.0
     # M' can legitimately cross zero (folds of the mass curve); the

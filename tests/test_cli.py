@@ -53,6 +53,13 @@ class TestSolveCommand:
         assert main(["solve", "--dim", "3"]) == 2
         assert main(["solve", "--dim", "3", "--p", "x/y", "--omega", "1"]) == 2
 
+    def test_huge_resolution_exit_code(self, tmp_path, capsys):
+        # rejected before the grid is allocated
+        code = main(["solve", "--dim", "3", "--p", "3", "--omega", "1",
+                     "--resolution", "100000000000", "--out", str(tmp_path)])
+        assert code == 2
+        assert "resolution" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--omega", "nan"], ["--omega", "inf"],
         ["--omega", "1", "--delta", "nan"],
@@ -184,33 +191,35 @@ class TestFitCommand:
 #: reduced ladders per regime, with the gates (value, pass) they give: the
 #: ladders are too short for the asymptotic windows, so some gates fail.
 #: The values are frozen from the current height root-find; moving a height
-#: within its 1e-13 bracket moves the identity residuals by up to 1e-4
-#: relative and the other values by up to 1e-9, with every flag unchanged
+#: within its 1e-13 bracket moves the residual-type values (the energy
+#: identities, the Q-mass intercept) by up to 2e-4 relative, the correction
+#: coefficient by 1e-6 and the other values by up to 1e-9, with every flag
+#: unchanged
 VERIFY_CASES = {
     "sub": (["--dim", "3", "--p", "2",
              "--omega-ladder", "0.015625:0.0009765625:0.5"], {
-        "correction_coefficient_5pct": (0.0029101005704983444, True),
-        "intercept_matches_Q_mass": (9.374338297954461e-07, True),
-        "mprime_sign_near_zero": (2095.915911856135, True),
-        "energy_identity_1pct": (1.1964943285772132e-06, True),
+        "correction_coefficient_5pct": (0.0029101035888842324, True),
+        "intercept_matches_Q_mass": (9.37401913590782e-07, True),
+        "mprime_sign_near_zero": (2095.915912632147, True),
+        "energy_identity_1pct": (1.1965381536226886e-06, True),
     }, "expansion"),
     "crit": (["--dim", "3", "--p", "5", "--resolution", "1024",
               "--omega-ladder", "0.0625:0.00006103515625:0.5"], {
-        "mass_slope": (-0.6368417760517723, False),
-        "lambda_slope": (-0.2819963168606828, False),
-        "level_gap_slope": (0.2884482230155509, True),
+        "mass_slope": (-0.6368417760521069, False),
+        "lambda_slope": (-0.28199631686069465, False),
+        "level_gap_slope": (0.2884482230157841, True),
         "mprime_negative_and_diverging": (None, True),
         "bubble_distance_1e-2": (0.05919179787040463, False),
-        "energy_limit_3pct": (0.019278422797525178, True),
-        "energy_identity_1pct": (4.705920524338033e-08, True),
+        "energy_limit_3pct": (0.01927842280129722, True),
+        "energy_identity_1pct": (4.706713876533751e-08, True),
     }, "critical"),
     "super": (["--dim", "5", "--p", "3",
                "--omega-ladder", "0.0625:0.00390625:0.5"], {
         "omega_mass_to_zero_monotone": (None, True),
-        "mass_limit_2pct": (0.8950547812501813, False),
-        "det_L_negative": (-2459596600448.1113, True),
-        "energy_limit_3pct": (0.00501888598646802, True),
-        "energy_identity_1pct": (7.392935155170407e-07, True),
+        "mass_limit_2pct": (0.8950547812146632, False),
+        "det_L_negative": (-2459596599632.484, True),
+        "energy_limit_3pct": (0.005018885986885791, True),
+        "energy_identity_1pct": (7.393061369896192e-07, True),
     }, "supercritical"),
 }
 

@@ -5,8 +5,8 @@ import pytest
 
 from qground.errors import InvalidParams
 from qground.params import (CRITICAL, MASS_CRITICAL_PLUS, MASS_SUBCRITICAL,
-                            SUBCRITICAL, SUPERCRITICAL, Params, classify,
-                            make_grid)
+                            MAX_RESOLUTION, SUBCRITICAL, SUPERCRITICAL,
+                            Params, classify, make_grid)
 
 
 class TestClassify:
@@ -90,6 +90,12 @@ class TestGrid:
     def test_minimum_resolution(self):
         with pytest.raises(InvalidParams):
             make_grid(1.0, 32)
+
+    def test_maximum_resolution(self):
+        assert make_grid(1.0, MAX_RESOLUTION).resolution == MAX_RESOLUTION
+        for resolution in (MAX_RESOLUTION + 1, 10 ** 11):
+            with pytest.raises(InvalidParams, match="resolution"):
+                make_grid(1.0, resolution)
 
     def test_jacobian_consistency(self):
         grid = make_grid(0.25, 512)

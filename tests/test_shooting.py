@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qground.errors import InvalidParams, NoGroundState
+from qground.errors import InvalidParams, NoConvergence, NoGroundState
 from qground.params import Params
 from qground import shooting
 from qground.shooting import (ShootingConfig, _Shooter, nls_ground_state,
@@ -219,8 +219,8 @@ class TestDualState:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("case, budget", [
-        ((3, 2, 1.0, 1.0), 30), ((5, 3, 1.0, 0.0), 79),
-        ((3, 7, 1.0, 0.0), 93)])
+        ((3, 2, 1.0, 1.0), 30), ((5, 3, 1.0, 0.0), 25),
+        ((3, 7, 1.0, 0.0), 15)])
     def test_iterations_count_every_integration(self, monkeypatch, case,
                                                 budget):
         # the root-find, bracket phase included, plus the final pass
@@ -235,6 +235,13 @@ class TestDualState:
         rep = solve_ground_state(Params(*case))
         assert rep.iterations + 1 == len(calls)
         assert len(calls) <= budget
+
+    def test_exhausted_root_find_raises(self, monkeypatch):
+        # the cold bracket of (3, 3, 0, 1) straddles the height at once, so
+        # the budget runs out in the root-find, not in the bracket phase
+        monkeypatch.setattr(shooting, "MAX_HEIGHT_STEPS", 5)
+        with pytest.raises(NoConvergence, match="stalled"):
+            solve_ground_state(Params(3, 3, 0.0, 1.0))
 
     def test_cold_solves_within_thirty_integrations(self, nls33, townes,
                                                     crit3, sub32, super53):

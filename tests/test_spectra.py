@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from qground.errors import InvalidParams, NearSingular
 from qground.params import Params
 from qground.shooting import ShootingConfig, solve_ground_state
 from qground.spectra import (GUARANTEED_NEGATIVE, INCONCLUSIVE, assemble,
-                             build_spectral_report, ground_pair,
+                             build_spectral_report, coarsen_profile,
+                             ground_pair,
                              kernel_residual, low_spectrum,
                              matrix_l_closed_form, matrix_l_critical_form,
                              mprime_resolvent, mprime_sign_window,
@@ -146,6 +148,23 @@ class TestSpectrum:
         # a huge tolerance hides the negative eigenvalue
         assert negative_count(op, tol=1e3) == 0
 
+    def test_negative_count_matches_dense_eigenvalues(self, nls33):
+        # a resolution-128 operator, shifted down so that several
+        # eigenvalues are negative
+        u = coarsen_profile(coarsen_profile(coarsen_profile(nls33.u)))
+        assert u.grid.resolution == 128
+        op = assemble(u, nls33.params, ell=0, kind="L+")
+        op = replace(op, diag=op.diag - 5.0 * op.weights)
+        diag, off = op.scaled_tridiagonal()
+        dense = np.linalg.eigvalsh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        between = -0.5 * (dense[1] + dense[2])
+        below = 2.0 * abs(dense[0])
+        counts = [negative_count(op, tol) for tol in (0.0, between, below)]
+        assert counts == [np.count_nonzero(dense < -tol)
+                          for tol in (0.0, between, below)]
+        assert counts[0] > counts[1] == 2 and counts[2] == 0
+
 
 class TestMprime:
     def test_zero_mass_is_invalid(self, zero_mass53):
@@ -263,9 +282,10 @@ class TestSignWindow:
 
 class TestReportAssembly:
     def test_radial_lplus_assembled_once(self, crit3, monkeypatch):
-        # the report's l = 0 L+ serves the finest resolvent level too: nine
-        # assemblies (four sectors, two kinds at each of three M' levels,
-        # less the shared one) and the same M' as a resolvent on its own
+        # the report's l = 0 L+ serves the finest resolvent level too: eight
+        # assemblies (four sectors, two kinds at each of the two finer M'
+        # levels and the primal one at the coarsest, less the shared one)
+        # and the same M' as a resolvent on its own
         from qground import spectra
 
         calls = []
@@ -276,7 +296,7 @@ class TestReportAssembly:
 
         monkeypatch.setattr(spectra, "assemble", counted)
         report = build_spectral_report(crit3)
-        assert len(calls) == 9
+        assert len(calls) == 8
         monkeypatch.undo()
         alone = mprime_resolvent(crit3.u, crit3.params)
         assert report.mprime.primal == alone.primal
