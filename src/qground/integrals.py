@@ -21,10 +21,9 @@ from scipy.integrate import simpson
 from scipy.special import exp1, gammaincc
 from scipy.special import gamma as gamma_fn
 
-from . import transform
 from .errors import ConstraintViolated, Divergent, InvalidParams
 from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
-                     RadialGrid, RadialProfile, classify)
+                     RadialGrid, RadialProfile)
 
 #: largest relative gap of the dual Pohozaev cross-check in level_m_omega
 LEVEL_CROSS_CHECK_TOL = 1e-6
@@ -155,7 +154,8 @@ class ScalarDiagnostics:
 
     mass is None when the decay law makes int u^2 divergent (zero-mass
     profiles in dimensions 3 and 4).  m_omega and m_star are None outside
-    their domain of definition (N = 2, respectively non-critical p).
+    their domain of definition (N = 2, respectively non-critical p), and
+    for a profile alone: solve_ground_state fills them by level_m_omega.
     """
 
     mass: Optional[float]
@@ -189,9 +189,9 @@ def energy_functional(dirichlet: float, quasi_grad: float, potential: float,
         - potential / (params.p + 1.0)
 
 
-def compute_diagnostics(u: RadialProfile, params: Params,
-                        v: Optional[RadialProfile] = None) -> ScalarDiagnostics:
-    """All scalar functionals of a ground-state profile u (and v = h(u))."""
+def compute_diagnostics(u: RadialProfile, params: Params) -> ScalarDiagnostics:
+    """The scalar functionals of a profile u; the level fields stay None
+    (solve_ground_state fills them from these by level_m_omega)."""
     dim = params.dim
     try:
         mass: Optional[float] = profile_moment(u, 2.0, dim)
@@ -202,16 +202,17 @@ def compute_diagnostics(u: RadialProfile, params: Params,
     potential = profile_moment(u, params.p + 1.0, dim)
     beta = potential / dirichlet
     energy = energy_functional(dirichlet, quasi, potential, params)
-    m_omega = m_star = delta_omega = None
-    if dim >= 3 and v is not None:
-        m_omega = level_m_omega(u, v, params)
-        if classify(params).is_critical:
-            m_star = sobolev_constant(dim)
-            delta_omega = m_omega - m_star
     return ScalarDiagnostics(mass=mass, dirichlet=dirichlet, quasi_grad=quasi,
-                             potential=potential, beta=beta, energy=energy,
-                             m_omega=m_omega, m_star=m_star,
-                             delta_omega=delta_omega)
+                             potential=potential, beta=beta, energy=energy)
+
+
+def _mass_term(d: ScalarDiagnostics, params: Params, what: str) -> float:
+    """omega M / 2, absent for omega = 0 (where M need not even be finite)."""
+    if params.omega == 0.0:
+        return 0.0
+    if d.mass is None:
+        raise Divergent(f"{what} needs a finite mass when omega > 0")
+    return 0.5 * params.omega * d.mass
 
 
 def pohozaev_residual(u: RadialProfile, params: Params,
@@ -226,11 +227,7 @@ def pohozaev_residual(u: RadialProfile, params: Params,
     n = params.dim
     res = (n - 2) / (2.0 * n) * d.dirichlet \
         + (n - 2) / n * params.delta * d.quasi_grad \
-        - d.potential / (params.p + 1.0)
-    if params.omega > 0:
-        if d.mass is None:
-            raise Divergent("Pohozaev needs a finite mass when omega > 0")
-        res += 0.5 * params.omega * d.mass
+        - d.potential / (params.p + 1.0) + _mass_term(d, params, "Pohozaev")
     return abs(res) / d.dirichlet
 
 
@@ -242,11 +239,7 @@ def nehari_residual(u: RadialProfile, params: Params,
     """
     d = diagnostics or compute_diagnostics(u, params)
     res = 0.5 * d.dirichlet + 2.0 * params.delta * d.quasi_grad \
-        - 0.5 * d.potential
-    if params.omega > 0:
-        if d.mass is None:
-            raise Divergent("Nehari needs a finite mass when omega > 0")
-        res += 0.5 * params.omega * d.mass
+        - 0.5 * d.potential + _mass_term(d, params, "Nehari")
     return abs(res) / d.dirichlet
 
 
@@ -261,28 +254,21 @@ def critical_key_residual(u: RadialProfile, params: Params,
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs))
 
 
-def level_m_omega(u: RadialProfile, v: RadialProfile, params: Params) -> float:
-    """Variational level m_omega recovered from the solution v = h(u) of the
-    dual problem via m_omega = (2* int F_omega)^(2/N), F_omega at v taken on u.
+def level_m_omega(d: ScalarDiagnostics, params: Params) -> float:
+    """Variational level m_omega = (2* int F_omega)^(2/N) of the dual
+    problem, from the scalars T, Q_grad, P and M of u.
 
-    The Pohozaev identity for the dual problem forces
-    int |grad v|^2 = 2* int F_omega; the two routes must agree to
-    LEVEL_CROSS_CHECK_TOL or the solve is rejected (ConstraintViolated).
+    With v = h(u), int F_omega = P/(p+1) - omega M/2 and, since v' = h'(u) u'
+    and h'(u)^2 = 1 + 2 delta u^2, int |grad v|^2 = T + 2 delta Q_grad.  The
+    Pohozaev identity of the dual problem forces int |grad v|^2 =
+    2* int F_omega; the two must agree to LEVEL_CROSS_CHECK_TOL or the solve
+    is rejected (ConstraintViolated).
     """
     if params.dim < 3:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
-    f_vals = transform.F_omega_u(u.values, params)
-    tail = 0.0
-    if v.decay is not None:
-        # F_omega ~ |s|^{p+1}/(p+1) - omega s^2 / 2 for small s
-        tail = tail_moment(v.decay, params.dim, params.p + 1.0, 0.0,
-                           v.grid.r_max) / (params.p + 1.0)
-        if params.omega > 0:
-            tail -= 0.5 * params.omega * tail_moment(
-                v.decay, params.dim, 2.0, 0.0, v.grid.r_max)
-    int_f = integrate_radial(f_vals, v.grid, params.dim, tail)
+    int_f = d.potential / (params.p + 1.0) - _mass_term(d, params, "the level")
     two_star = params.two_star()
-    dirichlet = dirichlet_integral(v, params.dim)
+    dirichlet = d.dirichlet + 2.0 * params.delta * d.quasi_grad
     rel = abs(dirichlet - two_star * int_f) / dirichlet
     if rel > LEVEL_CROSS_CHECK_TOL:
         raise ConstraintViolated(

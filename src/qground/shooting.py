@@ -21,21 +21,22 @@ Each trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
     u' = w / h'(u),    w' = -(N-1)/rho w - (|u|^{p-1} u - omega u) / h'(u),
 
 so the right-hand side never inverts h (at delta = 0 it is the NLS system);
-r = h^{-1} runs only on the launch values and on the floor level of the
-final pass, which are v-levels.  Beyond the matching radius the profile is
-extended by the fitted analytic tail:
+r = h^{-1} runs once per launch, on the height (the launch series carries
+u = r(v) in closed form from there), and on the floor level of the final
+pass.  Beyond the matching radius the profile is extended by the fitted
+analytic tail:
 
     omega > 0:  v ~ A rho^{-(N-1)/2} exp(-sqrt(omega) rho)
     omega = 0:  v ~ c rho^{-(N-2)}   (zero-mass problem, supercritical only)
 
-The ground state u is read off the trajectory and v = h(u); the fitted
-tail of v is carried back to u through r.
+The ground state u is read off the launch series and the trajectory, and
+v = h(u) there; beyond the matching radius v is the fitted tail and u = r(v).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -76,21 +77,25 @@ class ShootingConfig:
     r_max: Optional[float] = None
 
 
-def series_start(a: float, params: Params, r0: float) -> tuple[float, float]:
-    """Taylor launch values (v, v') at r0 for the regular solution with
-    v(0) = a, v'(0) = 0.
+def series_start(a: float, params: Params, r0) -> tuple:
+    """Taylor launch values (u, v') at r0 (a float or an array) for the
+    regular solution with v(0) = a, v'(0) = 0.
 
-    v(r) = a - f(a) r^2 / (2N) + f'(a) f(a) r^4 / (8N(N+2)) + O(r^6).
+    v(r) = a - f(a) r^2 / (2N) + f'(a) f(a) r^4 / (8N(N+2)) + O(r^6), and
+    u = r(v) follows from b = r(a) by r' = 1/h'(b), r'' = -2 delta b/h'(b)^4,
+    so h is inverted once and the truncation stays O(r^6).
     """
-    u0 = transform.r_scalar(a, params)
-    fa = transform.f_omega_u(u0, params)
-    fpa = transform.f_omega_prime_u(u0, params)
+    b = transform.r(a, params)
+    fa = transform.f_omega_u(b, params)
+    fpa = transform.f_omega_prime_u(b, params)
+    hp = transform.h_prime(b, params)
     n = params.dim
     c2 = -fa / (2.0 * n)
     c4 = fpa * fa / (8.0 * n * (n + 2.0))
-    v = a + c2 * r0 * r0 + c4 * r0 ** 4
+    dv = c2 * r0 * r0 + c4 * r0 ** 4
+    u = b + dv / hp - params.delta * b * (c2 * r0 * r0) ** 2 / hp ** 4
     vp = 2.0 * c2 * r0 + 4.0 * c4 * r0 ** 3
-    return v, vp
+    return u, vp
 
 
 class _Shooter:
@@ -128,7 +133,7 @@ class _Shooter:
 
         events = [cross, turn]
         if final and self.params.omega > 0:
-            u_floor = transform.r_scalar(TAIL_FLOOR_REL * a, self.params)
+            u_floor = transform.r(TAIL_FLOOR_REL * a, self.params)
 
             def floor(rho, y):
                 return y[0] - u_floor
@@ -138,8 +143,7 @@ class _Shooter:
 
     def integrate(self, a: float, r_end: Optional[float] = None,
                   final: bool = False):
-        v0, w0 = series_start(a, self.params, START_RADIUS)
-        y0 = (transform.r_scalar(v0, self.params), w0)
+        y0 = series_start(a, self.params, START_RADIUS)
         return solve_ivp(
             self.rhs, (START_RADIUS, r_end if r_end else self.r_max), y0,
             method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
@@ -242,6 +246,10 @@ class _Shooter:
         if not res.converged:
             raise NoConvergence(f"height root-find stalled in [{lo!r}, "
                                 f"{hi!r}] after {MAX_HEIGHT_STEPS} steps")
+        if lo > hi:
+            # a trajectory that met neither event has phi = 0 wherever it is
+            raise NoConvergence(f"height monitor not monotone: phi >= 0 at "
+                                f"{lo!r} above phi <= 0 at {hi!r}")
         return lo, hi
 
 
@@ -314,7 +322,6 @@ class SolveReport:
     equivalence_residual: float
     pohozaev_residual: float
     nehari_residual: float
-    m_omega: Optional[float]
     diagnostics: integrals.ScalarDiagnostics
     iterations: int             # root-find integrations, bracket included
     tail_rate_fit: float
@@ -340,7 +347,6 @@ class SolveReport:
             "equivalence_residual": self.equivalence_residual,
             "pohozaev_residual": self.pohozaev_residual,
             "nehari_residual": self.nehari_residual,
-            "m_omega": self.m_omega,
             "iterations": self.iterations,
             "tail_rate_fit": self.tail_rate_fit,
             "tail_kind": self.v.decay.kind if self.v.decay else None,
@@ -358,22 +364,19 @@ def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
                      decay: Decay) -> tuple[RadialProfile, RadialProfile]:
     params = shooter.params
     nodes = grid.nodes
-    rho_m = decay.match_radius
     u = np.empty_like(nodes)
     v = np.empty_like(nodes)
     vp = np.empty_like(nodes)
-    # off the trajectory v is given and u = r(v), in one vectorised call
-    v[0], vp[0] = a, 0.0
-    series = (nodes > 0) & (nodes < START_RADIUS)
-    for i in np.nonzero(series)[0]:
-        v[i], vp[i] = series_start(a, params, float(nodes[i]))
-    outer = nodes > rho_m
+    # u from the launch series, the trajectory, and r of the fitted tail
+    series = nodes < START_RADIUS
+    u[series], vp[series] = series_start(a, params, nodes[series])
+    inner = (nodes >= START_RADIUS) & (nodes <= decay.match_radius)
+    u[inner], vp[inner] = sol.sol(nodes[inner])
+    outer = nodes > decay.match_radius
     v[outer] = decay.value(nodes[outer])
     vp[outer] = decay.derivative(nodes[outer])
-    inner = (nodes >= START_RADIUS) & (nodes <= rho_m)
-    u[~inner] = transform.r(v[~inner], params)
-    u[inner], vp[inner] = sol.sol(nodes[inner])
-    v[inner] = transform.h(u[inner], params)
+    u[outer] = transform.r(v[outer], params)
+    v[~outer] = transform.h(u[~outer], params)
     v_profile = RadialProfile(grid=grid, values=v, derivative_values=vp,
                               decay=decay)
     # r(s) = s + O(s^3): the analytic tail carries over with the same
@@ -484,14 +487,20 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
 
     ode_res = _ode_residual(shooter, sol, v_profile, rho_m)
     equiv_res = _equivalence_residual(params, v_profile, u_profile)
-    diag = integrals.compute_diagnostics(u_profile, params, v=v_profile)
+    diag = integrals.compute_diagnostics(u_profile, params)
+    if params.dim >= 3:
+        m_omega = integrals.level_m_omega(diag, params)
+        m_star = (integrals.sobolev_constant(params.dim)
+                  if regime.is_critical else None)
+        diag = replace(diag, m_omega=m_omega, m_star=m_star, delta_omega=(
+            None if m_star is None else m_omega - m_star))
     poh = integrals.pohozaev_residual(u_profile, params, diag)
     neh = integrals.nehari_residual(u_profile, params, diag)
     return SolveReport(
         params=params, regime=regime, v=v_profile, u=u_profile,
         shooting_height=a, ode_residual=ode_res,
         equivalence_residual=equiv_res, pohozaev_residual=poh,
-        nehari_residual=neh, m_omega=diag.m_omega, diagnostics=diag,
+        nehari_residual=neh, diagnostics=diag,
         iterations=shooter.integrations, tail_rate_fit=rate_fit,
         bracket=(lo, hi))
 

@@ -19,11 +19,12 @@ its primitive and its derivative at s are
 Every one of these is a closed-form function of u = r(s), and only the u
 forms are provided (f_omega_u, F_omega_u, f_omega_prime_u, h_prime): the
 solver, the quadrature and the spectral assembly evaluate them on u
-directly.  The inverse r itself has no closed form; it is evaluated by a
-safeguarded Newton iteration on h(x) = s (the negative branch always goes
-through sign symmetry) and runs only where a value of v is given: the
-launch values and the floor level of each trajectory, the nodes of the
-dual profile off the trajectory, and the warm-start guess.
+directly.  The inverse r itself has no closed form; one scalar,
+safeguarded Newton solve of h(x) = s gives it exact to rounding (the
+negative branch goes through sign symmetry, and an array runs through it
+element by element).  It runs only where a value of v is given: the launch
+height and the floor level of the final pass, the fitted tail nodes of the
+profile, and the warm-start guess.
 
 Every function takes the validated Params last; only params.delta enters
 h and r.  delta = 0 degenerates to the identity transform (r(s) = s),
@@ -39,7 +40,8 @@ from .errors import NoConvergence
 from .params import Params
 
 
-#: relative step at which the Newton inversion of h stops
+#: relative Newton step after which one more step makes the inverse of h
+#: exact to rounding
 NEWTON_TOL = 1e-14
 #: Newton steps allowed to the inversion of h
 MAX_NEWTON_ITER = 60
@@ -58,70 +60,43 @@ def h(t, params: Params):
     return out if np.ndim(out) else float(out)
 
 
-def _h_scalar(x: float, d: float) -> float:
+def _invert(s: float, d: float) -> float:
+    """Safeguarded Newton solve of h(x) = |s| by the bracket [0, |s|],
+    signed like s.  h is increasing and convex on x > 0, and both starts
+    lie at or above the root, so the iterates fall monotonically; once a
+    step is NEWTON_TOL relative, one more step leaves only rounding."""
+    a = abs(s)
     s2d = math.sqrt(2.0 * d)
-    return 0.5 * x * math.sqrt(1.0 + 2.0 * d * x * x) \
-        + math.asinh(s2d * x) / (2.0 * s2d)
-
-
-def r_scalar(s: float, params: Params) -> float:
-    """Scalar Newton inversion of h; safeguarded by the bracket [0, |s|]."""
-    if params.delta == 0.0 or s == 0.0:
-        return float(s)
-    sign = 1.0
-    if s < 0.0:
-        sign, s = -1.0, -s
-    d = params.delta
     # r(s) <= s always; (2/d)^(1/4)*sqrt(s) is the large-s asymptote
-    x = min(s, (2.0 / d) ** 0.25 * math.sqrt(s))
-    lo, hi = 0.0, s
+    x = min(a, (2.0 / d) ** 0.25 * math.sqrt(a))
+    lo, hi = 0.0, a
+    done = False
     for _ in range(MAX_NEWTON_ITER):
-        f = _h_scalar(x, d) - s
+        root = math.sqrt(1.0 + 2.0 * d * x * x)
+        f = 0.5 * x * root + math.asinh(s2d * x) / (2.0 * s2d) - a
         if f > 0.0:
             hi = x
         else:
             lo = x
-        step = f / math.sqrt(1.0 + 2.0 * d * x * x)
-        xn = x - step
-        if not (lo < xn < hi):
+        xn = x - f / root
+        if done:
+            return math.copysign(xn, s)
+        if not lo <= xn <= hi:
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= NEWTON_TOL * max(1.0, xn):
-            return sign * xn
+        done = abs(xn - x) <= NEWTON_TOL * xn
         x = xn
-    raise NoConvergence(f"Newton inversion of h stalled at s = {sign * s}")
+    raise NoConvergence(f"Newton inversion of h stalled at s = {s}")
 
 
 def r(s, params: Params):
-    """Inverse map r = h^{-1}, odd on all of R; |r(s)| <= |s|."""
-    if np.ndim(s) == 0:
-        return r_scalar(float(s), params)
-    s = np.asarray(s, dtype=float)
+    """Inverse map r = h^{-1}, odd on all of R; |r(s)| <= |s|.
+
+    An array runs through the scalar Newton solve element by element."""
     if params.delta == 0.0:
-        return s.copy()
-    d = params.delta
-    sign = np.sign(s)
-    a = np.abs(s)
-    x = np.minimum(a, (2.0 / d) ** 0.25 * np.sqrt(a))
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    s2d = math.sqrt(2.0 * d)
-    active = a > 0
-    for _ in range(MAX_NEWTON_ITER):
-        if not active.any():
-            break
-        f = 0.5 * x * np.sqrt(1.0 + 2.0 * d * x * x) \
-            + np.arcsinh(s2d * x) / (2.0 * s2d) - a
-        np.copyto(hi, x, where=active & (f > 0))
-        np.copyto(lo, x, where=active & (f <= 0))
-        xn = x - f / np.sqrt(1.0 + 2.0 * d * x * x)
-        bad = (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        done = np.abs(xn - x) <= NEWTON_TOL * np.maximum(1.0, xn)
-        x = np.where(active, xn, x)
-        active &= ~done
-    if active.any():
-        raise NoConvergence("vectorized Newton inversion of h stalled")
-    return sign * x
+        return np.array(s, dtype=float) if np.ndim(s) else float(s)
+    if np.ndim(s):
+        return np.vectorize(_invert, otypes=[float])(s, params.delta)
+    return _invert(float(s), params.delta)
 
 
 def h_prime(u, params: Params):

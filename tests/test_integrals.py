@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qground.errors import Divergent, InvalidParams
+from qground.errors import ConstraintViolated, Divergent, InvalidParams
 from qground.integrals import (compute_diagnostics, critical_key_residual,
                                dirichlet_integral, gn_check, gn_ratio,
                                integrate_radial, level_m_omega,
@@ -14,6 +15,7 @@ from qground.integrals import (compute_diagnostics, critical_key_residual,
                                upper_gamma)
 from qground.params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
                             RadialProfile, make_grid)
+from qground.transform import F_omega_u
 
 
 class TestQuadratureCore:
@@ -161,17 +163,47 @@ class TestLevel:
             quotient = t_val / p_val ** ((dim - 2) / dim)
             assert quotient == pytest.approx(sobolev_constant(dim), rel=1e-8)
 
-    def test_level_cross_check(self, crit3):
-        val = level_m_omega(crit3.u, crit3.v, crit3.params)
-        assert val == pytest.approx(crit3.m_omega, rel=1e-12)
+    @staticmethod
+    def v_quadrature_level(rep):
+        """Reference: (2* int F_omega)^(2/N) by quadrature of F_omega over
+        the v profile, with the tail moments of its fitted decay."""
+        params, v = rep.params, rep.v
+        tail = tail_moment(v.decay, params.dim, params.p + 1.0, 0.0,
+                           v.grid.r_max) / (params.p + 1.0)
+        if params.omega > 0:
+            tail -= 0.5 * params.omega * tail_moment(
+                v.decay, params.dim, 2.0, 0.0, v.grid.r_max)
+        int_f = integrate_radial(F_omega_u(rep.u.values, params), v.grid,
+                                 params.dim, tail)
+        return (params.two_star() * int_f) ** (2.0 / params.dim)
+
+    def test_level_cross_check(self, crit3, sub32, super53, zero_mass53):
+        # the level from T, Q, P and M equals the v-profile quadrature
+        for rep in (crit3, sub32, super53, zero_mass53):
+            val = level_m_omega(rep.diagnostics, rep.params)
+            assert val == rep.diagnostics.m_omega
+            assert val == pytest.approx(self.v_quadrature_level(rep),
+                                        rel=1e-12)
+
+    def test_level_cross_check_rejects(self, crit3):
+        # the dual Pohozaev identity T + 2 delta Q = 2* int F_omega
+        broken = replace(crit3.diagnostics,
+                         dirichlet=1.01 * crit3.diagnostics.dirichlet)
+        with pytest.raises(ConstraintViolated, match="cross-check"):
+            level_m_omega(broken, crit3.params)
+
+    def test_profile_alone_has_no_level(self, crit3):
+        d = compute_diagnostics(crit3.u, crit3.params)
+        assert d.m_omega is None and d.m_star is None
+        assert d.dirichlet == crit3.diagnostics.dirichlet
 
     def test_level_above_sobolev_constant(self, crit3):
-        assert crit3.m_omega >= sobolev_constant(3)
+        assert crit3.diagnostics.m_omega >= sobolev_constant(3)
         assert crit3.diagnostics.delta_omega >= 0
 
     def test_dimension_two_rejected(self, townes):
         with pytest.raises(InvalidParams):
-            level_m_omega(townes.u, townes.v, townes.params)
+            level_m_omega(townes.diagnostics, townes.params)
 
 
 class TestAppendixChecks:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,12 +56,14 @@ class TestScaling:
 
 
 class TestSeriesStart:
+    """series_start launches u = r(v); h(u) carries the v-series."""
+
     def test_stationary_height(self):
         # f_omega(a) = 0 at r(a)^{p-1} = omega: the series is constant
         params = Params(3, 3, 1.0, 0.49)
         a = h(0.7, params)    # r(a) = 0.7, 0.7^2 = 0.49 = omega
-        v, vp = series_start(a, params, 1e-3)
-        assert v == pytest.approx(a, rel=1e-12)
+        u, vp = series_start(a, params, 1e-3)
+        assert h(u, params) == pytest.approx(a, rel=1e-12)
         assert vp == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_coefficient(self):
@@ -69,6 +72,17 @@ class TestSeriesStart:
         r0 = 1e-5
         _, vp = series_start(1.0, params, r0)
         assert vp == pytest.approx(-r0 / 3.0, rel=1e-9)
+
+    def test_array_radii_match_scalar_calls(self):
+        # the origin returns r(a) itself; an array of radii is one call
+        params = Params(3, 2, 1.0, 1.0)
+        radii = np.array([0.0, 1e-6, 3e-5, 1e-4])
+        u, vp = series_start(5.9, params, radii)
+        assert u[0] == r(5.9, params) and vp[0] == 0.0
+        for i, r0 in enumerate(radii):
+            u_i, vp_i = series_start(5.9, params, float(r0))
+            assert u[i] == pytest.approx(u_i, rel=1e-15)
+            assert vp[i] == pytest.approx(vp_i, rel=1e-15, abs=0.0)
 
     def test_matches_tiny_step_integration(self):
         # independent check: integrate from nearly zero with a tight solver
@@ -84,8 +98,8 @@ class TestSeriesStart:
         seed = 1e-8
         sol = solve_ivp(rhs, (seed, r0), [a, -f_omega(a) * seed / 3.0],
                         method="Radau", rtol=1e-12, atol=1e-14)
-        v, vp = series_start(a, params, r0)
-        assert v == pytest.approx(sol.y[0, -1], rel=1e-10)
+        u, vp = series_start(a, params, r0)
+        assert h(u, params) == pytest.approx(sol.y[0, -1], rel=1e-10)
         assert vp == pytest.approx(sol.y[1, -1], rel=1e-6)
 
 
@@ -160,17 +174,13 @@ class TestDualState:
     def test_inverse_of_h_off_the_rhs(self, monkeypatch):
         from qground import shooting, transform
 
-        counts = {"r": 0, "h_scalar": 0, "integrations": 0, "rhs": 0}
-        r_scalar, r_vector, ivp = (transform.r_scalar, transform.r,
-                                   shooting.solve_ivp)
+        counts = {"scalar": 0, "array": 0, "h_scalar": 0, "integrations": 0,
+                  "rhs": 0}
+        r_inverse, ivp = transform.r, shooting.solve_ivp
 
-        def count_r_scalar(*args, **kwargs):
-            counts["r"] += 1
-            return r_scalar(*args, **kwargs)
-
-        def count_r_vector(*args, **kwargs):
-            counts["r"] += 1
-            return r_vector(*args, **kwargs)
+        def count_r(s, params):
+            counts["array" if np.ndim(s) else "scalar"] += 1
+            return r_inverse(s, params)
 
         def count_ivp(*args, **kwargs):
             sol = ivp(*args, **kwargs)
@@ -188,8 +198,7 @@ class TestDualState:
                 counts["h_scalar"] += 1
                 return math.asinh(x)
 
-        monkeypatch.setattr(transform, "r_scalar", count_r_scalar)
-        monkeypatch.setattr(transform, "r", count_r_vector)
+        monkeypatch.setattr(transform, "r", count_r)
         monkeypatch.setattr(transform, "math", CountingMath())
         monkeypatch.setattr(shooting, "solve_ivp", count_ivp)
         rep = solve_ground_state(Params(3, 2, 1.0, 1.0))
@@ -197,8 +206,12 @@ class TestDualState:
         n = counts["integrations"]
         assert n > 10
         assert counts["rhs"] > 100 * n
-        assert counts["r"] <= 5 * n
-        assert counts["h_scalar"] <= 40 * n
+        # one launch per integration, the final pass's floor, the series
+        # nodes of the profile; one array call for the tail nodes
+        assert counts["scalar"] <= n + 3
+        assert counts["array"] == 1
+        tail_nodes = int(np.sum(rep.u.grid.nodes > rep.v.decay.match_radius))
+        assert counts["h_scalar"] <= 10 * (n + 3 + tail_nodes)
 
     def test_one_vectorised_inverse_per_solve(self, monkeypatch, sub32):
         # the dual profile off the trajectory is the only array given in v;
@@ -243,15 +256,26 @@ class TestDualState:
         with pytest.raises(NoConvergence, match="stalled"):
             solve_ground_state(Params(3, 3, 0.0, 1.0))
 
+    @pytest.mark.parametrize("case", [(2, Fraction(51, 50), 1.0, 1.0),
+                                      (3, Fraction(21, 20), 1.0, 1.0)])
+    def test_inverted_bracket_raises(self, case):
+        # near p = 1 a trajectory far above the height can reach R_max with
+        # neither event, so phi = 0 there; the root-find must not take it
+        # for the lower end of the bracket
+        with pytest.raises(NoConvergence, match="not monotone"):
+            solve_ground_state(Params(*case))
+
     def test_cold_solves_within_thirty_integrations(self, nls33, townes,
                                                     crit3, sub32, super53):
         for rep in (nls33, townes, crit3, sub32, super53):
             assert rep.iterations + 1 <= 30
 
     def test_v_is_h_of_u(self, sub32, crit3, super53):
+        # u and v agree to rounding on every node, tail nodes included
+        eps = np.finfo(float).eps
         for rep in (sub32, crit3, super53):
-            err = np.max(np.abs(h(rep.u.values, rep.params) - rep.v.values))
-            assert err <= 1e-14 * rep.v.values[0]
+            err = np.abs(h(rep.u.values, rep.params) - rep.v.values)
+            assert np.all(err <= 4.0 * eps * np.abs(rep.v.values))
 
     def test_heights_pinned(self, sub32, crit3, super53):
         # the heights given by integrating (v, v'), at the default config

@@ -117,6 +117,18 @@ class TestInverseMap:
             assert np.all(mid <= rr * (1 + 1e-12))
             assert np.all(0.5 * rr <= mid * (1 + 1e-12))
 
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 10.0])
+    def test_inverse_exact_to_rounding(self, delta):
+        # the Newton solve ends one step past a relative step test, so
+        # h(r(s)) returns s to rounding from 1e-12 to 1e8, scalar or array
+        params = Params(3, 3, delta, 1.0)
+        s = np.geomspace(1e-12, 1e8, 2001)
+        s = np.concatenate([-s[::-1], s])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(h(r(s, params), params) - s) <= 4 * eps * np.abs(s))
+        for x in s[::97]:
+            assert abs(h(r(float(x), params), params) - x) <= 4 * eps * abs(x)
+
     def test_identity_transform(self):
         nls = Params(3, 3, 0.0, 1.0)
         s = np.linspace(-5, 5, 11)
