@@ -4,11 +4,13 @@ quasilinear gradient integral Q_grad, the potential term P, beta = P/T,
 the energy E, and the variational level m_omega.
 
 Every integral is Simpson on the grid (taken in the uniform stretching
-parameter, so the weights keep fourth order) plus a closed-form
-contribution from the fitted decay beyond R_max.  Raw truncation is never
-used silently: integrands whose tails do not converge raise Divergent,
-which is how the low-dimension mass blow-up of the zero-mass limit shows
-up in practice.
+parameter, so the weights keep fourth order) plus the contribution of the
+fitted decay beyond R_max.  An exponential tail contributes nothing: R_max
+spans at least 15 decay lengths 1/sqrt(omega) (params.make_grid), so what
+lies beyond carries about e^{-30} of each moment.  A power tail contributes
+its closed form, and raises Divergent when that integral does not converge,
+which is how the low-dimension mass blow-up of the zero-mass limit shows up
+in practice.
 """
 from __future__ import annotations
 
@@ -18,12 +20,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import exp1, gammaincc
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConstraintViolated, Divergent, InvalidParams
-from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
-                     RadialGrid, RadialProfile)
+from .params import (DECAY_EXPONENTIAL, Decay, Params, RadialGrid,
+                     RadialProfile)
 
 #: largest relative gap of the dual Pohozaev cross-check in level_m_omega
 LEVEL_CROSS_CHECK_TOL = 1e-6
@@ -46,21 +47,6 @@ def sobolev_constant(dim: int) -> float:
         * (gamma_fn(dim / 2.0) / gamma_fn(float(dim))) ** (2.0 / dim)
 
 
-def upper_gamma(a: float, x: float) -> float:
-    """Generalized upper incomplete gamma Gamma(a, x) for any real a, x > 0.
-
-    For a <= 0 the value is obtained from the upward recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, with Gamma(0, x) = E_1(x).
-    """
-    if x <= 0:
-        raise ValueError("upper_gamma needs x > 0")
-    if a > 0:
-        return float(gammaincc(a, x) * gamma_fn(a))
-    if a == 0:
-        return float(exp1(x))
-    return (upper_gamma(a + 1.0, x) - x ** a * math.exp(-x)) / a
-
-
 def integrate_radial(values: np.ndarray, grid: RadialGrid, dim: int,
                      tail: float = 0.0) -> float:
     """Integrate f over R^N given node values of a radial f.
@@ -80,44 +66,29 @@ def integrate_radial(values: np.ndarray, grid: RadialGrid, dim: int,
 
 def tail_moment(decay: Optional[Decay], dim: int, k: float, j: float,
                 r_from: float) -> float:
-    """Closed form of |S^{N-1}| * int_{r_from}^inf rho^{N-1+j} u_tail(rho)^k drho.
+    """|S^{N-1}| * int_{r_from}^inf rho^{N-1+j} u_tail(rho)^k drho.
 
-    j shifts the radial power (derivative cross terms need j in {-1, -2}).
-    Raises Divergent when the power-law tail integral does not converge.
+    j shifts the radial power (the derivative tail needs j = -2).  A power
+    tail gives the closed form, or Divergent when the integral does not
+    converge; an exponential tail past R_max gives 0 (see the module
+    docstring).
     """
-    if decay is None:
+    if decay is None or decay.kind == DECAY_EXPONENTIAL:
         return 0.0
-    area = sphere_area(dim)
-    if decay.kind == DECAY_EXPONENTIAL:
-        c = k * decay.rate
-        m = dim - 1 + j - k * (dim - 1) / 2.0
-        x = c * r_from
-        if x > 600.0:           # e^{-x} underflows; contribution is nil
-            return 0.0
-        return area * decay.amplitude ** k * c ** (-(m + 1.0)) \
-            * upper_gamma(m + 1.0, x)
-    if decay.kind == DECAY_POWER:
-        e = dim - 1 + j - k * decay.exponent
-        if e >= -1.0:
-            raise Divergent(
-                f"power tail rho^-{decay.exponent} makes the k={k} moment "
-                f"diverge in dimension {dim}")
-        return area * decay.amplitude ** k * r_from ** (e + 1.0) / (-(e + 1.0))
-    raise ValueError(f"unknown decay kind {decay.kind!r}")
+    e = dim - 1 + j - k * decay.exponent
+    if e >= -1.0:
+        raise Divergent(
+            f"power tail rho^-{decay.exponent} makes the k={k} moment "
+            f"diverge in dimension {dim}")
+    return sphere_area(dim) * decay.amplitude ** k * r_from ** (e + 1.0) \
+        / (-(e + 1.0))
 
 
 def _derivative_tail(decay: Optional[Decay], dim: int, k_val: float,
                      r_from: float) -> float:
-    """Tail of int u^(k_val-2) * (u')^2 dx from the analytic decay form."""
-    if decay is None:
+    """Tail of int u^(k_val-2) * (u')^2 dx; u' = -q u / rho on a power tail."""
+    if decay is None or decay.kind == DECAY_EXPONENTIAL:
         return 0.0
-    if decay.kind == DECAY_EXPONENTIAL:
-        # u' = -(kappa + (N-1)/(2 rho)) u
-        kap, nm1 = decay.rate, dim - 1
-        return (kap ** 2 * tail_moment(decay, dim, k_val, 0.0, r_from)
-                + kap * nm1 * tail_moment(decay, dim, k_val, -1.0, r_from)
-                + 0.25 * nm1 ** 2 * tail_moment(decay, dim, k_val, -2.0, r_from))
-    # u' = -q u / rho
     return decay.exponent ** 2 * tail_moment(decay, dim, k_val, -2.0, r_from)
 
 

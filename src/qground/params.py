@@ -9,13 +9,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
+from scipy.special import kve
 
 from .errors import InvalidParams
 
@@ -203,9 +204,11 @@ def classify(params: Params) -> Regime:
 # radial grids
 # ---------------------------------------------------------------------------
 
-#: outer radius rules: exponential tails need 15 decay lengths, power tails
-#: need plain range.
+#: outer radius rules: exponential tails need MIN_DECAY_LENGTHS decay
+#: lengths 1/sqrt(omega), beyond which they carry about e^{-30} of a moment;
+#: power tails need plain range
 R_CORE = 20.0
+MIN_DECAY_LENGTHS = 15.0
 ZERO_MASS_R_MAX = 1000.0
 MIN_RESOLUTION = 64
 #: largest grid resolution; every caller stays at or below 2048
@@ -217,8 +220,10 @@ MAX_STRETCH = 80.0
 
 
 def r_max_for(omega: float) -> float:
+    if omega > 1:
+        return 50.0 / math.sqrt(omega)
     if omega > 0:
-        return max(50.0, 15.0 / np.sqrt(omega))
+        return max(50.0, MIN_DECAY_LENGTHS / np.sqrt(omega))
     return ZERO_MASS_R_MAX
 
 
@@ -261,11 +266,15 @@ def make_grid(params_or_omega, resolution: int = 1024,
               r_max: Optional[float] = None) -> RadialGrid:
     """Build the radial grid for a given frequency.
 
-    R_max = max(50, 15/sqrt(omega)) for omega > 0 and 1000 for omega = 0;
-    about 60% of the nodes land inside the core [0, min(R_max, 20)].
-    In the critical regime the solution spreads over the blow-up length
-    ~ omega^{-1/N}, so the core widens with it: a fixed 20-unit core would
-    leave the bubble under-resolved at very small frequencies.
+    R_max = max(50, 15/sqrt(omega)) for 0 < omega <= 1 and 1000 for
+    omega = 0; about 60% of the nodes land inside the core [0, min(R_max,
+    20)].  For omega > 1 the profile narrows like 1/sqrt(omega), so R_max
+    and the core shrink by that factor.  An explicit `r_max` must span 15
+    decay lengths 1/sqrt(omega) when omega > 0: the integrals drop the
+    exponential tail past R_max.  In the critical regime the solution
+    spreads over the blow-up length ~ omega^{-1/N}, so the core widens with
+    it: a fixed 20-unit core would leave the bubble under-resolved at very
+    small frequencies.
     """
     omega = params_or_omega.omega if isinstance(params_or_omega, Params) \
         else float(params_or_omega)
@@ -275,11 +284,15 @@ def make_grid(params_or_omega, resolution: int = 1024,
     resolution = int(resolution) + (int(resolution) % 2)  # Simpson wants even
     if r_max is None:
         r_max = r_max_for(omega)
-    r_core = R_CORE
+    elif omega > 0 and math.sqrt(omega) * r_max < MIN_DECAY_LENGTHS:
+        raise InvalidParams(
+            f"r_max = {r_max:g} spans fewer than {MIN_DECAY_LENGTHS:g} decay "
+            f"lengths 1/sqrt(omega) at omega = {omega:g}")
+    r_core = R_CORE / math.sqrt(omega) if omega > 1 else R_CORE
     if isinstance(params_or_omega, Params) and omega > 0:
         p = params_or_omega
         if p.dim >= 3 and classify(p).is_critical:
-            r_core = max(R_CORE, 5.0 * omega ** (-1.0 / p.dim))
+            r_core = max(r_core, 5.0 * omega ** (-1.0 / p.dim))
     r_core = min(r_max, r_core)
     target = r_core / r_max
     if target >= CORE_NODE_FRACTION:          # nearly uniform domain
@@ -312,33 +325,50 @@ DECAY_POWER = "power"
 class Decay:
     """Analytic tail attached to a profile beyond `match_radius`.
 
-    exponential: u(rho) = amplitude * rho^(-(N-1)/2) * exp(-rate*rho)
-    power:       u(rho) = amplitude * rho^(-exponent)
+    exponential: v(rho) = amplitude * rho^(-nu) * K_nu(rate * rho), with
+                 nu = (N-2)/2 and rate = sqrt(omega): the decaying radial
+                 solution of the linear far field -Delta v + omega v = 0
+                 (DLMF 10.25, 10.29), exact in every dimension
+    power:       v(rho) = amplitude * rho^(-exponent)
+
+    This is the only place that knows the omega > 0 law; the Bessel
+    functions are evaluated as kve(nu, x) e^{-x}, so nothing overflows.
     """
 
     kind: str
+    dim: int
     rate: float = 0.0          # kappa = sqrt(omega) for exponential tails
     exponent: float = 0.0      # N-2 for zero-mass tails
-    amplitude: float = 0.0
+    amplitude: float = 1.0
     match_radius: float = np.inf
-    dim: int = 3
+
+    def __post_init__(self):
+        if self.kind not in (DECAY_EXPONENTIAL, DECAY_POWER):
+            raise ValueError(f"unknown decay kind {self.kind!r}")
 
     def value(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        if self.kind == DECAY_EXPONENTIAL:
-            return self.amplitude * rho ** (-(self.dim - 1) / 2.0) \
-                * np.exp(-self.rate * rho)
         if self.kind == DECAY_POWER:
             return self.amplitude * rho ** (-self.exponent)
-        raise ValueError("tail has no analytic form")
+        nu, x = (self.dim - 2) / 2.0, self.rate * rho
+        return self.amplitude * rho ** -nu * kve(nu, x) * np.exp(-x)
+
+    def log_slope(self, rho: np.ndarray) -> np.ndarray:
+        """-v'/v on the law, whatever the amplitude: rate K_{nu+1}/K_nu at
+        rate * rho for exponential tails, exponent/rho for power tails."""
+        rho = np.asarray(rho, dtype=float)
+        if self.kind == DECAY_POWER:
+            return self.exponent / rho
+        nu, x = (self.dim - 2) / 2.0, self.rate * rho
+        return self.rate * kve(nu + 1.0, x) / kve(nu, x)
 
     def derivative(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        if self.kind == DECAY_EXPONENTIAL:
-            return -(self.rate + (self.dim - 1) / (2.0 * rho)) * self.value(rho)
-        if self.kind == DECAY_POWER:
-            return -self.exponent * self.value(rho) / rho
-        raise ValueError("tail has no analytic form")
+        return -self.log_slope(rho) * self.value(rho)
+
+    def matched(self, rho: float, v: float) -> "Decay":
+        """The law rescaled to pass through v at the match radius rho."""
+        return replace(self, amplitude=self.amplitude * v
+                       / float(self.value(rho)), match_radius=rho)
 
 
 @dataclass

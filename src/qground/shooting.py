@@ -26,8 +26,12 @@ u = r(v) in closed form from there), and on the floor level of the final
 pass.  Beyond the matching radius the profile is extended by the fitted
 analytic tail:
 
-    omega > 0:  v ~ A rho^{-(N-1)/2} exp(-sqrt(omega) rho)
-    omega = 0:  v ~ c rho^{-(N-2)}   (zero-mass problem, supercritical only)
+    omega > 0:  v = A rho^{-nu} K_nu(sqrt(omega) rho),  nu = (N-2)/2
+    omega = 0:  v = c rho^{-(N-2)}   (zero-mass problem, supercritical only)
+
+both laws of params.Decay, which alone evaluates them.  The match radius
+for omega > 0 is the deepest far-field point whose measured -v'/v follows
+the law (see _fit_tail).
 
 The ground state u is read off the launch series and the trajectory, and
 v = h(u) there; beyond the matching radius v is the fitted tail and u = r(v).
@@ -44,8 +48,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import integrals, transform
-from .errors import (AmbiguousTrajectory, BracketFailure, InvalidParams,
-                     NoConvergence, NoGroundState)
+from .errors import (AmbiguousTrajectory, BracketFailure,
+                     ConstraintViolated, InvalidParams, NoConvergence,
+                     NoGroundState)
 from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
                      RadialGrid, RadialProfile, Regime, classify, make_grid)
 
@@ -62,8 +67,8 @@ ODE_ATOL_REL = 1e-13
 TAIL_FLOOR_REL = 1e-9
 #: monitor evaluations allowed to each of the bracket and root-find phases
 MAX_HEIGHT_STEPS = 100
-#: relative gap of the measured far-field decay rate from sqrt(omega) that
-#: qualifies a tail match radius
+#: relative gap of the measured far-field -v'/v from the law's log-slope
+#: that qualifies a tail match radius
 TAIL_RATE_TOL = 0.005
 #: Pohozaev and Nehari residuals below which a solve is accepted
 IDENTITY_TOL = 1e-6
@@ -254,51 +259,39 @@ class _Shooter:
 
 
 def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
-    """Fitted analytic tail and the matched radius for the final trajectory.
+    """Fitted analytic tail, its match radius and the fitted decay rate.
 
-    For omega > 0 the matching radius is chosen adaptively: the deepest
-    far-field radius at which the measured decay rate -v'/v - (N-1)/(2 rho)
-    agrees with sqrt(omega) to TAIL_RATE_TOL.  This backs away both from the
-    crossover region of deep-critical profiles (where the exponential law
-    has not set in yet) and from the growing mode that the last bits of
-    the height leave in the far field.
+    For omega > 0 the far-field candidates are the points of the final
+    trajectory with 0 < v <= 1e-5 a and v' < 0.  The tail is matched at the
+    deepest candidate whose measured -v'/v follows the law's log-slope
+    (Decay.log_slope) to TAIL_RATE_TOL; this backs away both from the
+    crossover region of deep-critical profiles and from the growing mode
+    that the last bits of the height leave in the far field.  When no
+    candidate follows the law, no linear far field holds on the grid, and
+    the deepest candidate is used, where the remaining tail weight is
+    smallest.  For omega = 0 the power tail is matched at 0.35 R_max.
     """
     params = shooter.params
     n = params.dim
     if params.omega > 0:
         kappa = math.sqrt(params.omega)
-        v_far = 1e-5 * a
-        v_all = transform.h(sol.y[0], params)
-        mask = (v_all > 0) & (v_all <= v_far) & (sol.y[1] < 0)
-        if mask.any():
-            cand_t = sol.t[mask]
-            cand_v = v_all[mask]
-            cand_vp = sol.y[1][mask]
-            rate = -cand_vp / cand_v - (n - 1) / (2.0 * cand_t)
-            ok = np.abs(rate / kappa - 1.0) <= TAIL_RATE_TOL
-            # no candidate on the asymptotic law means the whole reachable
-            # far field is still crossover; match as deep as possible, where
-            # the remaining tail weight is smallest
-            idx = int(np.nonzero(ok)[0][-1]) if ok.any() else len(cand_t) - 1
-            rho_m = float(cand_t[idx])
-            v_m = float(cand_v[idx])
-            rate_fit = float(rate[idx])
-        else:          # trajectory ended before reaching the far field
-            rho_m = float(sol.t[-1])
-            v_m, vp_m = float(v_all[-1]), float(sol.y[1, -1])
-            rate_fit = -vp_m / v_m - (n - 1) / (2.0 * rho_m)
-        amp = v_m * rho_m ** ((n - 1) / 2.0) * math.exp(kappa * rho_m)
-        decay = Decay(kind=DECAY_EXPONENTIAL, rate=kappa, amplitude=amp,
-                      match_radius=rho_m, dim=n)
-        return decay, rho_m, rate_fit
+        law = Decay(kind=DECAY_EXPONENTIAL, dim=n, rate=kappa)
+        v = transform.h(sol.y[0], params)
+        far = (v > 0) & (v <= 1e-5 * a) & (sol.y[1] < 0)
+        if not far.any():
+            raise ConstraintViolated("the final trajectory ends before the "
+                                     "far field")
+        rho, v = sol.t[far], v[far]
+        ratio = -sol.y[1, far] / v / law.log_slope(rho)
+        on_law = np.nonzero(np.abs(ratio - 1.0) <= TAIL_RATE_TOL)[0]
+        m = on_law[-1] if on_law.size else -1
+        rho_m = float(rho[m])
+        return law.matched(rho_m, float(v[m])), rho_m, kappa * float(ratio[m])
     rho_m = ZERO_MASS_MATCH_FRACTION * shooter.r_max
     u_m, vp_m = (float(x) for x in sol.sol(rho_m))
     v_m = transform.h(u_m, params)
-    amp = v_m * rho_m ** (n - 2)
-    decay = Decay(kind=DECAY_POWER, exponent=float(n - 2), amplitude=amp,
-                  match_radius=rho_m, dim=n)
-    rate = float(-rho_m * vp_m / v_m)  # log-slope, should be close to N-2
-    return decay, rho_m, rate
+    law = Decay(kind=DECAY_POWER, dim=n, exponent=float(n - 2))
+    return law.matched(rho_m, v_m), rho_m, float(-rho_m * vp_m / v_m)
 
 
 @dataclass
@@ -311,6 +304,9 @@ class SolveReport:
     equivalence_residual is the relative residual of the quasilinear
     equation rebuilt from v', and v'' from the dual equation, by the chain
     rule with r, r' and r'' taken in closed form on the sampled u = r(v).
+    tail_rate_fit is the measured -v'/v at the match radius over
+    K_{nu+1}/K_nu there, which is sqrt(omega) on the far-field law, and for
+    omega = 0 the log-log slope -rho v'/v, which is N-2 on the power law.
     """
 
     params: Params

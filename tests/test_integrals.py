@@ -11,8 +11,7 @@ from qground.integrals import (compute_diagnostics, critical_key_residual,
                                moser_bound_check, nehari_residual,
                                pohozaev_residual, profile_moment,
                                quasi_gradient_integral, radial_decay_check,
-                               sobolev_constant, sphere_area, tail_moment,
-                               upper_gamma)
+                               sobolev_constant, sphere_area, tail_moment)
 from qground.params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
                             RadialProfile, make_grid)
 from qground.transform import F_omega_u
@@ -47,51 +46,34 @@ class TestQuadratureCore:
         assert sphere_area(4) == pytest.approx(2 * math.pi ** 2)
 
 
-class TestUpperGamma:
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        for a in (-2.5, -1.0, 0.0, 0.7, 3.0):
-            for x in (0.5, 5.0, 40.0):
-                expected = float(mp.gammainc(a, x, mp.inf))
-                assert upper_gamma(a, x) == pytest.approx(expected, rel=1e-10)
-
-
-def _synthetic_profile(dim, kind, resolution=1024):
-    """Profile with an exactly known analytic form everywhere.
-
-    exponential: u = rho^{-(N-1)/2} e^{-rho} beyond 1 (clamped near 0);
-    power: u = (1 + rho^2)^{-(N-2)/2}, which decays like rho^{-(N-2)}.
-    """
-    grid = make_grid(1.0 if kind == DECAY_EXPONENTIAL else 0.0, resolution)
+def _synthetic_profile(dim, resolution=1024):
+    """u = (1 + rho^2)^{-(N-2)/2}, which decays like rho^{-(N-2)}, with its
+    exact power tail."""
+    grid = make_grid(0.0, resolution)
     rho = grid.nodes
-    if kind == DECAY_EXPONENTIAL:
-        safe = np.maximum(rho, 1.0)
-        u = safe ** (-(dim - 1) / 2.0) * np.exp(-rho)
-        up = np.where(rho >= 1.0,
-                      -(1.0 + (dim - 1) / (2.0 * safe)) * u, -u)
-        decay = Decay(kind=DECAY_EXPONENTIAL, rate=1.0, amplitude=1.0,
-                      match_radius=grid.r_max, dim=dim)
-    else:
-        u = (1.0 + rho ** 2) ** (-(dim - 2) / 2.0)
-        up = -(dim - 2) * rho * (1.0 + rho ** 2) ** (-dim / 2.0)
-        decay = Decay(kind=DECAY_POWER, exponent=float(dim - 2), amplitude=1.0,
-                      match_radius=grid.r_max, dim=dim)
+    u = (1.0 + rho ** 2) ** (-(dim - 2) / 2.0)
+    up = -(dim - 2) * rho * (1.0 + rho ** 2) ** (-dim / 2.0)
+    decay = Decay(kind=DECAY_POWER, exponent=float(dim - 2), amplitude=1.0,
+                  match_radius=grid.r_max, dim=dim)
     return RadialProfile(grid=grid, values=u, derivative_values=up, decay=decay)
 
 
 class TestTails:
-    def test_tail_moment_matches_quadrature(self):
+    def test_exponential_tail_past_r_max_is_negligible(self, super53):
+        # R_max >= 15/sqrt(omega), so the K_nu tail beyond it is dropped
         from scipy.integrate import quad
 
-        decay = Decay(kind=DECAY_EXPONENTIAL, rate=0.8, amplitude=1.7,
-                      match_radius=30.0, dim=3)
-        got = tail_moment(decay, 3, 4.0, -1.0, 30.0)
-        integrand = lambda t: t ** (3 - 1 - 1) * decay.value(t) ** 4
-        expected = sphere_area(3) * quad(integrand, 30.0, np.inf)[0]
-        assert got == pytest.approx(expected, rel=1e-9)
+        u, dim = super53.u, super53.params.dim
+        r_max = u.grid.r_max
+        for k in (2.0, super53.params.p + 1.0):
+            past = sphere_area(dim) * quad(
+                lambda t: t ** (dim - 1) * u.decay.value(t) ** k,
+                r_max, np.inf)[0]
+            assert 0.0 < past < 1e-12 * profile_moment(u, k, dim)
+            assert tail_moment(u.decay, dim, k, 0.0, r_max) == 0.0
 
     def test_power_tail_divergence(self):
-        profile = _synthetic_profile(4, DECAY_POWER)
+        profile = _synthetic_profile(4)
         with pytest.raises(Divergent):
             profile_moment(profile, 2.0, 4)    # int u^2 diverges for N = 4
 
@@ -99,7 +81,7 @@ class TestTails:
         # u = (1 + rho^2)^{-3/2} in R^5: int u^2 = |S^4| * 3 pi / 16, with
         # the [R_max, inf) stretch carried by the closed-form tail (~1e-3
         # of the total), so this exercises the core + tail stitch for real
-        profile = _synthetic_profile(5, DECAY_POWER)
+        profile = _synthetic_profile(5)
         val = profile_moment(profile, 2.0, 5)
         expected = sphere_area(5) * 3.0 * math.pi / 16.0
         assert val == pytest.approx(expected, rel=1e-8)

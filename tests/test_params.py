@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qground.errors import InvalidParams
-from qground.params import (CRITICAL, MASS_CRITICAL_PLUS, MASS_SUBCRITICAL,
-                            MAX_RESOLUTION, SUBCRITICAL, SUPERCRITICAL,
-                            Params, classify, make_grid)
+from qground.params import (CRITICAL, DECAY_EXPONENTIAL, MASS_CRITICAL_PLUS,
+                            MASS_SUBCRITICAL, MAX_RESOLUTION, SUBCRITICAL,
+                            SUPERCRITICAL, Decay, Params, classify, make_grid)
 
 
 class TestClassify:
@@ -80,6 +80,21 @@ class TestGrid:
         assert make_grid(0.01, 1024).r_max == pytest.approx(150.0)
         assert make_grid(0.0, 1024).r_max == 1000.0
 
+    def test_grid_scales_for_large_omega(self):
+        # above omega = 1 the whole grid is the omega = 1 grid shrunk by
+        # 1/sqrt(omega), the length scale of the profile
+        unit, narrow = make_grid(1.0, 1024), make_grid(16.0, 1024)
+        assert narrow.r_max == 12.5
+        assert np.allclose(narrow.nodes, unit.nodes / 4.0, rtol=1e-9)
+
+    def test_short_r_max_rejected(self):
+        # the integrals drop the exponential tail past R_max, which needs
+        # R_max to span 15 decay lengths 1/sqrt(omega)
+        assert make_grid(0.25, 256, r_max=30.0).r_max == 30.0
+        with pytest.raises(InvalidParams, match="decay lengths"):
+            make_grid(0.25, 256, r_max=29.0)
+        assert make_grid(0.0, 256, r_max=29.0).r_max == 29.0
+
     def test_structure(self):
         grid = make_grid(1.0, 1024)
         assert grid.nodes[0] == 0.0
@@ -119,6 +134,40 @@ class TestGrid:
         for omega in (1e-29, 1e-300):
             with pytest.raises(InvalidParams, match="omega = .*R_max = "):
                 make_grid(Params(2, 3, 0.0, omega), 64)
+
+
+class TestDecay:
+    def test_three_dimensional_law_is_exponential(self):
+        # rho^{-1/2} K_{1/2}(kappa rho) = sqrt(pi/(2 kappa)) e^{-kappa rho}/rho
+        law = Decay(kind=DECAY_EXPONENTIAL, dim=3, rate=0.5, amplitude=2.0)
+        rho = np.array([1.0, 10.0, 400.0, 2000.0])
+        expected = 2.0 * np.sqrt(np.pi) * np.exp(-0.5 * rho) / rho
+        assert np.allclose(law.value(rho), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(law.log_slope(rho), 0.5 + 1.0 / rho, rtol=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    def test_law_solves_the_linear_far_field(self, dim):
+        # v'' + (N-1)/rho v' = omega v, checked on the law's own derivative
+        omega = 0.3
+        law = Decay(kind=DECAY_EXPONENTIAL, dim=dim, rate=np.sqrt(omega))
+        rho, eps = np.linspace(2.0, 40.0, 7), 1e-5
+        vpp = (law.derivative(rho + eps) - law.derivative(rho - eps)) / (2 * eps)
+        lhs = vpp + (dim - 1) / rho * law.derivative(rho)
+        assert np.allclose(lhs, omega * law.value(rho), rtol=1e-7, atol=0.0)
+        assert np.allclose(law.derivative(rho),
+                           -law.log_slope(rho) * law.value(rho), rtol=1e-14)
+
+    def test_matched_passes_through_the_point(self):
+        law = Decay(kind=DECAY_EXPONENTIAL, dim=5, rate=0.2).matched(60.0, 1e-9)
+        assert law.value(60.0) == pytest.approx(1e-9, rel=1e-14)
+        assert law.match_radius == 60.0
+
+    def test_dimension_is_required(self):
+        # the Bessel order nu = (N-2)/2 depends on it
+        with pytest.raises(TypeError):
+            Decay(kind=DECAY_EXPONENTIAL, rate=1.0)
+        with pytest.raises(ValueError, match="unknown decay kind"):
+            Decay(kind="gaussian", dim=3)
 
 
 class TestProfileCsv:

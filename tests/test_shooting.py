@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qground.errors import InvalidParams, NoConvergence, NoGroundState
+from qground.errors import (ConstraintViolated, InvalidParams, NoConvergence,
+                            NoGroundState)
 from qground.params import Params
 from qground import shooting
 from qground.shooting import (ShootingConfig, _Shooter, nls_ground_state,
@@ -146,10 +147,39 @@ class TestReports:
         assert np.max(np.abs(back - crit3.v.values)) < 1e-10 * scale
         assert np.all(crit3.u.values <= crit3.v.values + 1e-15)
 
-    def test_exponential_tail_rate(self, crit3, sub32):
-        for rep in (crit3, sub32):
+    def test_exponential_tail_rate(self, nls33, townes, crit3, sub32,
+                                   super53):
+        # the K_nu law is exact in every dimension, N = 5 included
+        for rep in (nls33, townes, crit3, sub32, super53):
             kappa = math.sqrt(rep.params.omega)
-            assert rep.tail_rate_fit == pytest.approx(kappa, rel=0.01)
+            assert rep.tail_rate_fit == pytest.approx(
+                kappa, rel=shooting.TAIL_RATE_TOL)
+
+    def test_tail_off_the_law_matches_deepest(self):
+        # u^{p-1} is still ~10% of omega at R_max: no far-field point follows
+        # the linear law, so the tail is matched at the deepest candidate
+        rep = solve_ground_state(Params(7, Fraction(6, 5), 1.0, 1.0))
+        assert rep.accepted()
+        assert abs(rep.tail_rate_fit - 1.0) > shooting.TAIL_RATE_TOL
+        assert rep.v.decay.match_radius == rep.v.grid.r_max
+
+    def test_no_far_field_is_a_typed_error(self):
+        # a final trajectory that never falls to 1e-5 of its height
+        from types import SimpleNamespace
+
+        params = Params(3, 3, 0.0, 1.0)
+        t = np.linspace(1.0, 5.0, 9)
+        sol = SimpleNamespace(t=t, y=np.vstack([np.exp(-t), -np.exp(-t)]))
+        with pytest.raises(ConstraintViolated, match="far field"):
+            shooting._fit_tail(_Shooter(params, 50.0), sol, 1.0)
+
+    def test_narrow_profile_grid_scales(self, townes):
+        # the grid shrinks by 1/sqrt(omega) for omega > 1, so the exact
+        # delta = 0 scaling carries the Nehari residual over unchanged
+        rep = solve_ground_state(Params(2, 3, 0.0, 8.0))
+        assert rep.accepted()
+        assert rep.nehari_residual == pytest.approx(townes.nehari_residual,
+                                                    rel=1e-3)
 
     def test_bracket_is_tight(self, crit3):
         lo, hi = crit3.bracket
