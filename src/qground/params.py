@@ -331,6 +331,9 @@ class Decay:
                  (DLMF 10.25, 10.29), exact in every dimension
     power:       v(rho) = amplitude * rho^(-exponent)
 
+    Each law is the decaying solution k of its linear far field; `growing`
+    splits a state over k and the growing solution i: rho^(-nu) I_nu(rate *
+    rho) for exponential tails, 1 for power tails.
     This is the only place that knows the omega > 0 law; the Bessel
     functions are evaluated as kve(nu, x) e^{-x}, so nothing overflows.
     """
@@ -364,6 +367,16 @@ class Decay:
 
     def derivative(self, rho: np.ndarray) -> np.ndarray:
         return -self.log_slope(rho) * self.value(rho)
+
+    def growing(self, rho: float, v: float, vp: float) -> float:
+        """Coefficient B of the growing solution i in (v, v') = A k + B i at
+        rho: B = (k v' - k' v) / W{k, i}, where W = rho^{1-N} (DLMF 10.28.2)
+        for exponential tails and exponent * rho^{-exponent-1} for power."""
+        if self.kind == DECAY_POWER:
+            return v + rho * vp / self.exponent
+        nu, x = (self.dim - 2) / 2.0, self.rate * rho
+        return rho ** (nu + 1.0) * np.exp(-x) * (
+            kve(nu, x) * vp + self.rate * kve(nu + 1.0, x) * v)
 
     def matched(self, rho: float, v: float) -> "Decay":
         """The law rescaled to pass through v at the match radius rho."""

@@ -2,20 +2,16 @@
 
 The positive decaying solution is the center height v(0) = a* between
 trajectories that cross zero (a > a*) and trajectories that turn back up
-(a < a*).  The height is the root of one signed, continuous monitor phi(a),
-positive below a* and negative above it:
-
-    omega > 0:  phi = -+ exp(-2 sqrt(omega) rho_exit) rho_exit^{N-1}, minus
-                for a crossing, plus for a turn, 0 when neither happens
-                before R_max; the growing mode meets the decaying one where
-                |a - a*| ~ exp(-2 sqrt(omega) rho), so phi is close to linear
-    omega = 0:  phi = (N-2) v + rho v' at rho_1 = 0.35 R_max, or at the exit
-                radius scaled by (rho_1 / rho_exit)^{N-2} when the trajectory
-                crosses or turns before rho_1
-
-A bracket phase grows [lo, hi] geometrically until phi changes sign, and
-Brent's method (scipy.optimize.brentq) shrinks it to a relative width of
-HEIGHT_RTOL; the ground state is non-degenerate, so a* is a simple root.
+(a < a*).  The height is the root of one signed, continuous monitor phi(a):
+the coefficient B of the growing mode when the exit state (v, v') is split
+over the two solutions of the linear far field, rho^{-nu} K_nu(sqrt(omega)
+rho) and rho^{-nu} I_nu(sqrt(omega) rho) for omega > 0, rho^{2-N} and 1 for
+omega = 0 (params.Decay.growing).  A trajectory exits at a crossing, a turn
+or the exit radius (R_max; 0.35 R_max for omega = 0), so phi < 0 above a*,
+phi > 0 below it, and phi is close to linear through it.  A bracket phase
+grows [lo, hi] geometrically until phi changes sign, and Brent's method
+(scipy.optimize.brentq) shrinks it to a relative width of HEIGHT_RTOL; the
+ground state is non-degenerate, so a* is a simple root.
 Each trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
 
     u' = w / h'(u),    w' = -(N-1)/rho w - (|u|^{p-1} u - omega u) / h'(u),
@@ -56,7 +52,7 @@ from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
 
 #: start of integration; the (N-1)/rho singularity is bridged by a series
 START_RADIUS = 1e-4
-#: fraction of R_max where zero-mass trajectories are matched to the tail
+#: fraction of R_max where zero-mass trajectories exit and meet the tail
 ZERO_MASS_MATCH_FRACTION = 0.35
 #: relative width of the final height bracket
 HEIGHT_RTOL = 1e-13
@@ -105,7 +101,7 @@ def series_start(a: float, params: Params, r0) -> tuple:
 
 class _Shooter:
     """One (params, R_max) shooting context: the RHS, the events, the
-    height monitor and the integration count of its root-find."""
+    monitor's far-field law and exit radius, and the integration count."""
 
     def __init__(self, params: Params, r_max: float):
         self.params = params
@@ -113,6 +109,13 @@ class _Shooter:
         self.r_max = r_max
         self.integrations = 0
         n = params.dim
+        if params.omega > 0:
+            self.law = Decay(kind=DECAY_EXPONENTIAL, dim=n,
+                             rate=math.sqrt(params.omega))
+            self.r_exit = r_max
+        else:
+            self.law = Decay(kind=DECAY_POWER, dim=n, exponent=float(n - 2))
+            self.r_exit = ZERO_MASS_MATCH_FRACTION * r_max
         two_delta, pm1, omega = 2.0 * params.delta, params.p - 1.0, params.omega
 
         def rhs(rho, y):
@@ -146,38 +149,21 @@ class _Shooter:
             events.append(floor)
         return events
 
-    def integrate(self, a: float, r_end: Optional[float] = None,
-                  final: bool = False):
+    def integrate(self, a: float, final: bool = False):
+        """To the exit radius for the monitor, densely to R_max if final."""
         y0 = series_start(a, self.params, START_RADIUS)
         return solve_ivp(
-            self.rhs, (START_RADIUS, r_end if r_end else self.r_max), y0,
-            method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
+            self.rhs, (START_RADIUS, self.r_max if final else self.r_exit),
+            y0, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
             events=self._events(a, final), dense_output=final)
 
     def monitor(self, a: float) -> float:
-        """phi(a): positive below the height a*, negative above, 0 on it.
-
-        For omega > 0 a height a <= s* is an undershoot by the energy law
-        and is known by its sign alone: phi = +inf, no integration."""
-        n = self.params.dim
-        if self.params.omega > 0:
-            if a <= self.s_star:
-                return math.inf
-            self.integrations += 1
-            sol = self.integrate(a)
-            if sol.status != 1:
-                return 0.0
-            rho = float(sol.t[-1])
-            sign = -1.0 if sol.t_events[0].size else 1.0
-            return sign * math.exp(-2.0 * math.sqrt(self.params.omega) * rho) \
-                * rho ** (n - 1)
-        rho_1 = ZERO_MASS_MATCH_FRACTION * self.r_max
+        """phi(a): the growing far-field coefficient B of the exit state,
+        positive below the height a*, negative above, 0 on it."""
         self.integrations += 1
-        sol = self.integrate(a, r_end=rho_1)
-        rho = float(sol.t[-1])
-        v = transform.h(float(sol.y[0, -1]), self.params)
-        return ((n - 2) * v + rho * float(sol.y[1, -1])) \
-            * (rho_1 / rho) ** (n - 2)
+        sol = self.integrate(a)
+        u, vp = sol.y[:, -1].tolist()
+        return self.law.growing(sol.t[-1], transform.h(u, self.params), vp)
 
     # -- the height root-find -----------------------------------------------
 
@@ -223,10 +209,10 @@ class _Shooter:
         """Bracket [lo, hi] of the height, at most HEIGHT_RTOL wide: the
         tightest monitored points with phi(lo) >= 0 >= phi(hi).
 
-        While lo is known by its sign alone (phi = +inf) the bracket is
-        bisected; Brent's method takes the finite bracket from there.  Both
-        share one budget of MAX_HEIGHT_STEPS monitor calls, and a memo
-        keeps brentq from integrating the bracket ends again."""
+        Brent's method shrinks the expanded bracket in at most
+        MAX_HEIGHT_STEPS steps; a memo keeps it from integrating the bracket
+        ends again.  It keeps every point with phi > 0 below every point
+        with phi < 0, and stops at the first exact zero."""
         lo, f_lo, hi, f_hi = self.expand_bracket(*self.initial_bracket(guess))
         memo = {lo: f_lo, hi: f_hi}
 
@@ -235,26 +221,14 @@ class _Shooter:
                 memo[a] = self.monitor(a)
             return memo[a]
 
-        budget = MAX_HEIGHT_STEPS
-        while math.isinf(memo[lo]) and budget:
-            budget -= 1
-            a = 0.5 * (lo + hi)
-            if phi(a) > 0.0:
-                lo = a
-            else:
-                hi = a
         # the width is relative only; brentq needs some positive xtol
         _, res = brentq(phi, lo, hi, xtol=1e-300, rtol=HEIGHT_RTOL,
-                        maxiter=budget, full_output=True, disp=False)
+                        maxiter=MAX_HEIGHT_STEPS, full_output=True, disp=False)
         lo = max(a for a, f in memo.items() if f >= 0.0)
         hi = min(a for a, f in memo.items() if f <= 0.0)
         if not res.converged:
             raise NoConvergence(f"height root-find stalled in [{lo!r}, "
                                 f"{hi!r}] after {MAX_HEIGHT_STEPS} steps")
-        if lo > hi:
-            # a trajectory that met neither event has phi = 0 wherever it is
-            raise NoConvergence(f"height monitor not monotone: phi >= 0 at "
-                                f"{lo!r} above phi <= 0 at {hi!r}")
         return lo, hi
 
 
@@ -269,13 +243,11 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
     that the last bits of the height leave in the far field.  When no
     candidate follows the law, no linear far field holds on the grid, and
     the deepest candidate is used, where the remaining tail weight is
-    smallest.  For omega = 0 the power tail is matched at 0.35 R_max.
+    smallest.  For omega = 0 the power tail is matched at the exit radius
+    0.35 R_max.
     """
-    params = shooter.params
-    n = params.dim
+    params, law = shooter.params, shooter.law
     if params.omega > 0:
-        kappa = math.sqrt(params.omega)
-        law = Decay(kind=DECAY_EXPONENTIAL, dim=n, rate=kappa)
         v = transform.h(sol.y[0], params)
         far = (v > 0) & (v <= 1e-5 * a) & (sol.y[1] < 0)
         if not far.any():
@@ -286,11 +258,11 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
         on_law = np.nonzero(np.abs(ratio - 1.0) <= TAIL_RATE_TOL)[0]
         m = on_law[-1] if on_law.size else -1
         rho_m = float(rho[m])
-        return law.matched(rho_m, float(v[m])), rho_m, kappa * float(ratio[m])
-    rho_m = ZERO_MASS_MATCH_FRACTION * shooter.r_max
+        return (law.matched(rho_m, float(v[m])), rho_m,
+                law.rate * float(ratio[m]))
+    rho_m = shooter.r_exit
     u_m, vp_m = (float(x) for x in sol.sol(rho_m))
     v_m = transform.h(u_m, params)
-    law = Decay(kind=DECAY_POWER, dim=n, exponent=float(n - 2))
     return law.matched(rho_m, v_m), rho_m, float(-rho_m * vp_m / v_m)
 
 

@@ -198,28 +198,28 @@ class TestFitCommand:
 VERIFY_CASES = {
     "sub": (["--dim", "3", "--p", "2",
              "--omega-ladder", "0.015625:0.0009765625:0.5"], {
-        "correction_coefficient_5pct": (0.002910103648440541, True),
-        "intercept_matches_Q_mass": (9.374005137781888e-07, True),
-        "mprime_sign_near_zero": (2095.9159126332192, True),
-        "energy_identity_1pct": (1.1965336559250696e-06, True),
+        "correction_coefficient_5pct": (0.0029101095129983752, True),
+        "intercept_matches_Q_mass": (9.374294930020341e-07, True),
+        "mprime_sign_near_zero": (2095.915912003765, True),
+        "energy_identity_1pct": (1.1964805954399217e-06, True),
     }, "expansion"),
     "crit": (["--dim", "3", "--p", "5", "--resolution", "1024",
               "--omega-ladder", "0.0625:0.00006103515625:0.5"], {
-        "mass_slope": (-0.6368417760522066, False),
-        "lambda_slope": (-0.28199631686069365, False),
-        "level_gap_slope": (0.2884482230158456, True),
+        "mass_slope": (-0.6368417760532609, False),
+        "lambda_slope": (-0.2819963168607267, False),
+        "level_gap_slope": (0.288448223016541, True),
         "mprime_negative_and_diverging": (None, True),
-        "bubble_distance_1e-2": (0.05919179787040452, False),
-        "energy_limit_3pct": (0.0192784228004283, True),
-        "energy_identity_1pct": (4.7068018273620826e-08, True),
+        "bubble_distance_1e-2": (0.059191797870402074, False),
+        "energy_limit_3pct": (0.019278422808466592, True),
+        "energy_identity_1pct": (4.706204755793829e-08, True),
     }, "critical"),
     "super": (["--dim", "5", "--p", "3",
                "--omega-ladder", "0.0625:0.00390625:0.5"], {
         "omega_mass_to_zero_monotone": (None, True),
-        "mass_limit_2pct": (0.8950547812941007, False),
-        "det_L_negative": (-2459596599624.1826, True),
-        "energy_limit_3pct": (0.005018885986077245, True),
-        "energy_identity_1pct": (7.393043627752818e-07, True),
+        "mass_limit_2pct": (0.8950547812775391, False),
+        "det_L_negative": (-2459596599449.8193, True),
+        "energy_limit_3pct": (0.005018885986286298, True),
+        "energy_identity_1pct": (7.392801229138638e-07, True),
     }, "supercritical"),
 }
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from qground.errors import InvalidParams
-from qground.params import (CRITICAL, DECAY_EXPONENTIAL, MASS_CRITICAL_PLUS,
+from scipy.special import iv
+
+from qground.params import (CRITICAL, DECAY_EXPONENTIAL, DECAY_POWER,
+                            MASS_CRITICAL_PLUS,
                             MASS_SUBCRITICAL, MAX_RESOLUTION, SUBCRITICAL,
                             SUPERCRITICAL, Decay, Params, classify, make_grid)
 
@@ -156,6 +159,27 @@ class TestDecay:
         assert np.allclose(lhs, omega * law.value(rho), rtol=1e-7, atol=0.0)
         assert np.allclose(law.derivative(rho),
                            -law.log_slope(rho) * law.value(rho), rtol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    def test_growing_splits_off_the_bessel_modes(self, dim):
+        # B = 0 on rho^{-nu} K_nu(kappa rho) and B = 1 on rho^{-nu} I_nu
+        kappa, nu = 0.7, (dim - 2) / 2.0
+        law = Decay(kind=DECAY_EXPONENTIAL, dim=dim, rate=kappa, amplitude=3.0)
+        for rho in (0.5, 5.0, 30.0):
+            i = rho ** -nu * iv(nu, kappa * rho)
+            ip = rho ** -nu * kappa * iv(nu + 1.0, kappa * rho)
+            assert law.growing(rho, i, ip) == pytest.approx(1.0, rel=1e-13)
+            # the growing part read off the law is rounding in v itself
+            k, kp = law.value(rho), law.derivative(rho)
+            assert abs(law.growing(rho, k, kp) * i) <= 1e-14 * k
+
+    def test_growing_splits_off_the_power_modes(self):
+        # B = 0 on rho^{-(N-2)} and B = 1 on the constant
+        law = Decay(kind=DECAY_POWER, dim=5, exponent=3.0)
+        for rho in (0.5, 5.0, 30.0):
+            assert law.growing(rho, 2.0 * rho ** -3, -6.0 * rho ** -4) \
+                == pytest.approx(0.0, abs=1e-15)
+            assert law.growing(rho, 1.0, 0.0) == 1.0
 
     def test_matched_passes_through_the_point(self):
         law = Decay(kind=DECAY_EXPONENTIAL, dim=5, rate=0.2).matched(60.0, 1e-9)
