@@ -186,18 +186,6 @@ def fit_power_law(omegas: Sequence[float], values: Sequence[float],
         aicc=aicc(rss, len(w), 2), window=(float(w.min()), float(w.max())))
 
 
-def fit_exponent_stability(omegas: Sequence[float], values: Sequence[float],
-                           log_exponent: float = 0.0) -> float:
-    """Relative change of the fitted exponent when the largest-omega third
-    of the window is dropped."""
-    pts = sorted(zip(omegas, values))
-    full = fit_power_law([q[0] for q in pts], [q[1] for q in pts], log_exponent)
-    cut = pts[: max(3, int(len(pts) * 2 / 3))]
-    trimmed = fit_power_law([q[0] for q in cut], [q[1] for q in cut],
-                            log_exponent)
-    return abs(trimmed.exponent - full.exponent) / max(abs(full.exponent), 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the critical bubble
 # ---------------------------------------------------------------------------
@@ -223,10 +211,6 @@ class AubinTalenti:
     def m_star(self) -> float:
         return sobolev_constant(self.dim)
 
-    @property
-    def grad_norm_sq(self) -> float:
-        return self.m_star ** (self.dim / 2.0)
-
     def value(self, rho):
         n = self.dim
         rho = np.asarray(rho, dtype=float)
@@ -238,21 +222,6 @@ class AubinTalenti:
         rho = np.asarray(rho, dtype=float)
         out = -(rho / n) * (1.0 + rho ** 2 / (n * (n - 2.0))) ** (-n / 2.0)
         return out if out.ndim else float(out)
-
-    def w_value(self, rho):
-        return self.value(np.sqrt(self.m_star) * np.asarray(rho, dtype=float))
-
-    def lane_emden_residual(self, rho) -> float:
-        """Sup of |Lap U + U^{(N+2)/(N-2)}| evaluated from closed forms."""
-        n = self.dim
-        rho = np.asarray(rho, dtype=float)
-        rho = rho[rho > 0]
-        s = 1.0 + rho ** 2 / (n * (n - 2.0))
-        upp = -(1.0 / n) * s ** (-n / 2.0) \
-            + (rho ** 2 / (n * (n - 2.0))) * s ** (-n / 2.0 - 1.0)
-        lap = upp + (n - 1) / rho * self.derivative(rho)
-        res = lap + self.value(rho) ** ((n + 2.0) / (n - 2.0))
-        return float(np.max(np.abs(res)))
 
     def sample(self, grid: RadialGrid) -> RadialProfile:
         n = self.dim
@@ -280,16 +249,6 @@ def bubble_distance(u: RadialProfile, params: Params, x_max: float = 5.0,
     x = np.linspace(0.0, x_max, samples)
     rescaled = lam ** ((params.dim - 2.0) / 2.0) * u(lam * x)
     return float(np.max(np.abs(rescaled - bubble.value(x))))
-
-
-def nls_distance(u: RadialProfile, params: Params, q_profile: RadialProfile,
-                 x_max: float = 8.0, samples: int = 400) -> float:
-    """Sup distance of the subcritical rescaling w^{-1/(p-1)} u(x/sqrt(w))
-    to the NLS ground state Q."""
-    w = params.omega
-    x = np.linspace(0.0, x_max, samples)
-    rescaled = w ** (-1.0 / (params.p - 1.0)) * u(x / math.sqrt(w))
-    return float(np.max(np.abs(rescaled - q_profile(x))))
 
 
 # ---------------------------------------------------------------------------

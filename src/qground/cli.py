@@ -421,7 +421,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "fit":
             return _cmd_fit(args)
-    except InvalidParams as exc:
+    except (InvalidParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QGroundError as exc:

@@ -18,16 +18,17 @@ Each trajectory integrates (u, w = v') with v = h(u) and h'(u) closed form:
 
 so the right-hand side never inverts h (at delta = 0 it is the NLS system);
 r = h^{-1} runs once per launch, on the height (the launch series carries
-u = r(v) in closed form from there), and on the floor level of the final
-pass.  Beyond the matching radius the profile is extended by the fitted
-analytic tail:
+u = r(v) in closed form from there).  The final pass is the root-find's own
+trajectory at the accepted end lo of the bracket, integrated again with its
+interpolant kept.  Beyond the matching radius the profile is extended by
+the fitted analytic tail:
 
     omega > 0:  v = A rho^{-nu} K_nu(sqrt(omega) rho),  nu = (N-2)/2
     omega = 0:  v = c rho^{-(N-2)}   (zero-mass problem, supercritical only)
 
 both laws of params.Decay, which alone evaluates them.  The match radius
-for omega > 0 is the deepest far-field point whose measured -v'/v follows
-the law (see _fit_tail).
+for omega > 0 is the far-field point whose measured -v'/v is nearest the
+law, and the exit radius for omega = 0 (see _fit_tail).
 
 The ground state u is read off the launch series and the trajectory, and
 v = h(u) there; beyond the matching radius v is the fitted tail and u = r(v).
@@ -59,13 +60,8 @@ HEIGHT_RTOL = 1e-13
 #: DOP853 relative tolerance, and absolute tolerance as a fraction of a
 ODE_RTOL = 1e-11
 ODE_ATOL_REL = 1e-13
-#: v-level, as a fraction of a, at which the final pass stops
-TAIL_FLOOR_REL = 1e-9
 #: monitor evaluations allowed to each of the bracket and root-find phases
 MAX_HEIGHT_STEPS = 100
-#: relative gap of the measured far-field -v'/v from the law's log-slope
-#: that qualifies a tail match radius
-TAIL_RATE_TOL = 0.005
 #: Pohozaev and Nehari residuals below which a solve is accepted
 IDENTITY_TOL = 1e-6
 
@@ -106,7 +102,6 @@ class _Shooter:
     def __init__(self, params: Params, r_max: float):
         self.params = params
         self.s_star = transform.s_star(params)
-        self.r_max = r_max
         self.integrations = 0
         n = params.dim
         if params.omega > 0:
@@ -126,11 +121,7 @@ class _Shooter:
 
         self.rhs = rhs
 
-    def _events(self, a: float, final: bool):
-        """Events: v crossing zero and v' turning positive, both terminal.
-        The final pass for omega > 0 also stops at the floor v = 1e-9 a,
-        which leaves the tail fit room to select its matching radius; the
-        v-level is converted to a u-level once."""
+        # terminal events: v crossing zero, and v' turning positive
         def cross(rho, y):
             return y[0]
         cross.terminal, cross.direction = True, -1
@@ -139,23 +130,16 @@ class _Shooter:
             return y[1]
         turn.terminal, turn.direction = True, 1
 
-        events = [cross, turn]
-        if final and self.params.omega > 0:
-            u_floor = transform.r(TAIL_FLOOR_REL * a, self.params)
+        self.events = [cross, turn]
 
-            def floor(rho, y):
-                return y[0] - u_floor
-            floor.terminal, floor.direction = True, -1
-            events.append(floor)
-        return events
-
-    def integrate(self, a: float, final: bool = False):
-        """To the exit radius for the monitor, densely to R_max if final."""
+    def integrate(self, a: float, dense: bool = False):
+        """The trajectory of height a, from START_RADIUS to the exit radius
+        or the first crossing or turn; `dense` keeps its interpolant."""
         y0 = series_start(a, self.params, START_RADIUS)
         return solve_ivp(
-            self.rhs, (START_RADIUS, self.r_max if final else self.r_exit),
-            y0, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL_REL * a,
-            events=self._events(a, final), dense_output=final)
+            self.rhs, (START_RADIUS, self.r_exit), y0, method="DOP853",
+            rtol=ODE_RTOL, atol=ODE_ATOL_REL * a, events=self.events,
+            dense_output=dense)
 
     def monitor(self, a: float) -> float:
         """phi(a): the growing far-field coefficient B of the exit state,
@@ -237,14 +221,11 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
 
     For omega > 0 the far-field candidates are the points of the final
     trajectory with 0 < v <= 1e-5 a and v' < 0.  The tail is matched at the
-    deepest candidate whose measured -v'/v follows the law's log-slope
-    (Decay.log_slope) to TAIL_RATE_TOL; this backs away both from the
-    crossover region of deep-critical profiles and from the growing mode
-    that the last bits of the height leave in the far field.  When no
-    candidate follows the law, no linear far field holds on the grid, and
-    the deepest candidate is used, where the remaining tail weight is
-    smallest.  For omega = 0 the power tail is matched at the exit radius
-    0.35 R_max.
+    candidate whose measured -v'/v is nearest the law's log-slope
+    (Decay.log_slope): shallower points still feel the nonlinearity, deeper
+    ones carry the growing mode that the last bits of the height leave in
+    the far field.  For omega = 0 the power tail is matched at the last
+    point of the trajectory, the exit radius 0.35 R_max.
     """
     params, law = shooter.params, shooter.law
     if params.omega > 0:
@@ -255,13 +236,12 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
                                      "far field")
         rho, v = sol.t[far], v[far]
         ratio = -sol.y[1, far] / v / law.log_slope(rho)
-        on_law = np.nonzero(np.abs(ratio - 1.0) <= TAIL_RATE_TOL)[0]
-        m = on_law[-1] if on_law.size else -1
+        m = int(np.argmin(np.abs(ratio - 1.0)))
         rho_m = float(rho[m])
         return (law.matched(rho_m, float(v[m])), rho_m,
                 law.rate * float(ratio[m]))
-    rho_m = shooter.r_exit
-    u_m, vp_m = (float(x) for x in sol.sol(rho_m))
+    rho_m = float(sol.t[-1])
+    u_m, vp_m = sol.y[:, -1].tolist()
     v_m = transform.h(u_m, params)
     return law.matched(rho_m, v_m), rho_m, float(-rho_m * vp_m / v_m)
 
@@ -378,8 +358,7 @@ def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
     params = shooter.params
     nodes = v_profile.grid.nodes
     lo = max(START_RADIUS, float(sol.t[min(2, len(sol.t) - 1)]))
-    hi = min(rho_m, float(sol.t[-1]))
-    edges = nodes[(nodes >= lo) & (nodes <= hi)]
+    edges = nodes[(nodes >= lo) & (nodes <= rho_m)]
     if edges.size < 3:
         return 0.0
     states = sol.sol(edges)
@@ -444,10 +423,10 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
     grid = make_grid(params, cfg.resolution, r_max=cfg.r_max)
     shooter = _Shooter(params, grid.r_max)
     lo, hi = shooter.find_height(guess)
-    # phi(lo) >= 0: the final pass repeats lo's trajectory, which does not
-    # cross zero, down to the tail floor
+    # phi(lo) >= 0: the final pass is lo's own trajectory, which does not
+    # cross zero, with its interpolant kept
     a = lo
-    sol = shooter.integrate(a, final=True)
+    sol = shooter.integrate(a, dense=True)
     if sol.t_events[0].size:
         raise AmbiguousTrajectory("the accepted height crosses zero")
     decay, rho_m, rate_fit = _fit_tail(shooter, sol, a)

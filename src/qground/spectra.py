@@ -355,19 +355,6 @@ def matrix_l_closed_form(params: Params, mprime: float, mass: float,
     return np.array([[l11, l12, l13], [l12, l22, l23], [l13, l23, l33]])
 
 
-def matrix_l_critical_form(params: Params, mprime: float, mass: float,
-                           dirichlet: float, beta: float) -> np.ndarray:
-    """Critical-exponent variant of the closed-form entries, written in
-    terms of T, beta and omega M only."""
-    n, omega = params.dim, params.omega
-    t, m = dirichlet, mass
-    wm = omega * m / t
-    l22 = 4.0 / (n - 2) * t * (2.0 * wm - beta)
-    l23 = 2.0 / (n - 2) * t * ((n + 2.0) * wm - 2.0 * beta)
-    l33 = 1.0 / (n - 2) * t * (n * (n + 2.0) * wm - 4.0 * beta)
-    return np.array([[-0.5 * mprime, -m, 0.0], [-m, l22, l23], [0.0, l23, l33]])
-
-
 def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
              mprime: float, mass: float, dirichlet: float, quasi_grad: float,
              potential: float, domega_u: np.ndarray) -> MatrixL:

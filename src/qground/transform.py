@@ -23,8 +23,7 @@ directly.  The inverse r itself has no closed form; one scalar,
 safeguarded Newton solve of h(x) = s gives it exact to rounding (the
 negative branch goes through sign symmetry, and an array runs through it
 element by element).  It runs only where a value of v is given: the launch
-height and the floor level of the final pass, the fitted tail nodes of the
-profile, and the warm-start guess.
+height, the fitted tail nodes of the profile, and the warm-start guess.
 
 Every function takes the validated Params last; only params.delta enters
 h and r.  delta = 0 degenerates to the identity transform (r(s) = s),

@@ -70,6 +70,15 @@ class TestSolveCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_out_is_exit_two(self, tmp_path, capsys):
+        # --out names a file, so the output directory cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["solve", "--dim", "3", "--p", "3", "--delta", "1",
+                     "--omega", "1", "--out", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_sweep_layout_and_determinism(self, tmp_path, capsys):
@@ -198,28 +207,28 @@ class TestFitCommand:
 VERIFY_CASES = {
     "sub": (["--dim", "3", "--p", "2",
              "--omega-ladder", "0.015625:0.0009765625:0.5"], {
-        "correction_coefficient_5pct": (0.0029101095129983752, True),
-        "intercept_matches_Q_mass": (9.374294930020341e-07, True),
-        "mprime_sign_near_zero": (2095.915912003765, True),
-        "energy_identity_1pct": (1.1964805954399217e-06, True),
+        "correction_coefficient_5pct": (0.0029101095079758425, True),
+        "intercept_matches_Q_mass": (9.374294678310164e-07, True),
+        "mprime_sign_near_zero": (2095.9159120046706, True),
+        "energy_identity_1pct": (1.1964807108988388e-06, True),
     }, "expansion"),
     "crit": (["--dim", "3", "--p", "5", "--resolution", "1024",
               "--omega-ladder", "0.0625:0.00006103515625:0.5"], {
-        "mass_slope": (-0.6368417760532609, False),
+        "mass_slope": (-0.6368417760529368, False),
         "lambda_slope": (-0.2819963168607267, False),
-        "level_gap_slope": (0.288448223016541, True),
+        "level_gap_slope": (0.28844822301636563, True),
         "mprime_negative_and_diverging": (None, True),
         "bubble_distance_1e-2": (0.059191797870402074, False),
-        "energy_limit_3pct": (0.019278422808466592, True),
-        "energy_identity_1pct": (4.706204755793829e-08, True),
+        "energy_limit_3pct": (0.019278422804876398, True),
+        "energy_identity_1pct": (4.7062778042930096e-08, True),
     }, "critical"),
     "super": (["--dim", "5", "--p", "3",
                "--omega-ladder", "0.0625:0.00390625:0.5"], {
         "omega_mass_to_zero_monotone": (None, True),
-        "mass_limit_2pct": (0.8950547812775391, False),
-        "det_L_negative": (-2459596599449.8193, True),
-        "energy_limit_3pct": (0.005018885986286298, True),
-        "energy_identity_1pct": (7.392801229138638e-07, True),
+        "mass_limit_2pct": (0.8950547812647782, False),
+        "det_L_negative": (-2459596599439.246, True),
+        "energy_limit_3pct": (0.00501888598609802, True),
+        "energy_identity_1pct": (7.392929102915253e-07, True),
     }, "supercritical"),
 }
 

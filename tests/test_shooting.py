@@ -157,22 +157,23 @@ class TestReports:
         assert slow.accepted()
         for rep in (nls33, townes, crit3, sub32, super53, slow):
             kappa = math.sqrt(rep.params.omega)
-            assert rep.tail_rate_fit == pytest.approx(
-                kappa, rel=shooting.TAIL_RATE_TOL)
+            assert rep.tail_rate_fit == pytest.approx(kappa, rel=1e-4)
 
-    def test_tail_off_the_law_matches_deepest(self):
-        # a far field whose -v'/v is 10% off the K_nu law everywhere: no
-        # candidate follows the law, so the tail is matched at the deepest
+    def test_tail_matches_nearest_the_law(self):
+        # a far field whose -v'/v is off the K_nu law by a gap that varies
+        # along rho: the tail is matched where the gap is smallest
         params = Params(3, 3, 0.0, 1.0)
         shooter = _Shooter(params, 50.0)
-        t = np.linspace(20.0, 30.0, 11)
-        v = 1e-6 * (shooter.law.value(t) / shooter.law.value(20.0)) ** 1.1
+        t = np.linspace(20.0, 30.0, 6)
+        gap = np.array([0.1, 0.01, 1e-4, 3e-3, 4e-3, 0.02])
+        v = 1e-6 * shooter.law.value(t) / shooter.law.value(20.0)
         sol = SimpleNamespace(
-            t=t, y=np.vstack([v, -1.1 * shooter.law.log_slope(t) * v]))
+            t=t, y=np.vstack([v, -(1.0 + gap) * shooter.law.log_slope(t) * v]))
         decay, rho_m, rate = shooting._fit_tail(shooter, sol, 1.0)
-        assert rho_m == decay.match_radius == 30.0
-        assert decay.value(30.0) == pytest.approx(v[-1], rel=1e-14)
-        assert rate == pytest.approx(1.1, rel=1e-14)
+        assert rho_m == decay.match_radius == t[2]
+        assert decay.value(rho_m) == pytest.approx(v[2], rel=1e-14)
+        assert rate == pytest.approx(shooter.law.rate * (1.0 + 1e-4),
+                                     rel=1e-14)
 
     def test_no_far_field_is_a_typed_error(self):
         # a final trajectory that never falls to 1e-5 of its height
@@ -245,12 +246,12 @@ class TestDualState:
         n = counts["integrations"]
         assert n > 10
         assert counts["rhs"] > 100 * n
-        # one launch per integration, the final pass's floor, the series
-        # nodes of the profile; one array call for the tail nodes
-        assert counts["scalar"] <= n + 3
+        # one launch per integration and one for the series nodes of the
+        # profile; one array call for the tail nodes
+        assert counts["scalar"] == n + 1
         assert counts["array"] == 1
         tail_nodes = int(np.sum(rep.u.grid.nodes > rep.v.decay.match_radius))
-        assert counts["h_scalar"] <= 10 * (n + 3 + tail_nodes)
+        assert counts["h_scalar"] <= 10 * (n + 1 + tail_nodes)
 
     def test_one_vectorised_inverse_per_solve(self, monkeypatch, sub32):
         # the dual profile off the trajectory is the only array given in v;
@@ -287,6 +288,34 @@ class TestDualState:
         rep = solve_ground_state(Params(*case))
         assert rep.iterations + 1 == len(calls)
         assert len(calls) <= budget
+
+    @pytest.mark.parametrize("fixture", ["super53", "zero_mass53"])
+    def test_final_pass_is_the_monitor_trajectory(self, monkeypatch, request,
+                                                  fixture):
+        # the final pass integrates lo again, with the monitor's span and
+        # events, so it ends bitwise where lo's monitor trajectory ended
+        params = request.getfixturevalue(fixture).params
+        calls = []
+        ivp = shooting.solve_ivp
+
+        def record_ivp(fun, t_span, y0, **kwargs):
+            sol = ivp(fun, t_span, y0, **kwargs)
+            calls.append((tuple(t_span), tuple(y0), sol.t[-1],
+                          sol.y[:, -1].copy(), kwargs["dense_output"]))
+            return sol
+
+        monkeypatch.setattr(shooting, "solve_ivp", record_ivp)
+        rep = solve_ground_state(params)
+        *monitored, final = calls
+        assert final[4] and not any(c[4] for c in monitored)
+        lo_start = tuple(series_start(rep.bracket[0], params,
+                                      shooting.START_RADIUS))
+        assert final[1] == lo_start
+        assert all(c[0] == final[0] for c in monitored)
+        lo_call = [c for c in monitored if c[1] == lo_start]
+        assert len(lo_call) == 1
+        assert final[2] == lo_call[0][2]
+        assert np.array_equal(final[3], lo_call[0][3])
 
     def test_exhausted_root_find_raises(self, monkeypatch):
         # the cold bracket of (3, 3, 0, 1) straddles the height at once, so

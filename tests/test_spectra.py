@@ -11,10 +11,23 @@ from qground.spectra import (GUARANTEED_NEGATIVE, INCONCLUSIVE, assemble,
                              build_spectral_report, coarsen_profile,
                              ground_pair,
                              kernel_residual, low_spectrum,
-                             matrix_l_closed_form, matrix_l_critical_form,
+                             matrix_l_closed_form,
                              mprime_resolvent, mprime_sign_window,
                              negative_count)
 from qground.transform import h_prime, r
+
+
+def matrix_l_critical_form(params: Params, mprime: float, mass: float,
+                           dirichlet: float, beta: float) -> np.ndarray:
+    """Critical-exponent variant of the closed-form entries of L, written
+    in terms of T, beta and omega M only."""
+    n, omega = params.dim, params.omega
+    t, m = dirichlet, mass
+    wm = omega * m / t
+    l22 = 4.0 / (n - 2) * t * (2.0 * wm - beta)
+    l23 = 2.0 / (n - 2) * t * ((n + 2.0) * wm - 2.0 * beta)
+    l33 = 1.0 / (n - 2) * t * (n * (n + 2.0) * wm - 4.0 * beta)
+    return np.array([[-0.5 * mprime, -m, 0.0], [-m, l22, l23], [0.0, l23, l33]])
 
 
 class TestAssembly:
