@@ -29,8 +29,7 @@ import numpy as np
 from .errors import (InsufficientNeighbors, InsufficientWindow,
                      InvalidParams, RegimeMismatch)
 from .integrals import sobolev_constant
-from .params import (DECAY_POWER, Decay, Params, RadialGrid, RadialProfile,
-                     classify)
+from .params import Decay, Params, RadialGrid, RadialProfile, classify
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +225,7 @@ class AubinTalenti:
     def sample(self, grid: RadialGrid) -> RadialProfile:
         n = self.dim
         amp = (n * (n - 2.0)) ** ((n - 2.0) / 2.0)
-        decay = Decay(kind=DECAY_POWER, exponent=float(n - 2), amplitude=amp,
-                      match_radius=grid.r_max, dim=n)
+        decay = Decay(n, amplitude=amp, match_radius=grid.r_max)
         return RadialProfile(grid=grid, values=self.value(grid.nodes),
                              derivative_values=self.derivative(grid.nodes),
                              decay=decay)

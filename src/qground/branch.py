@@ -5,10 +5,9 @@ A sweep walks a geometric omega ladder downward.  Each new point seeds its
 shooting bracket from the last height that solved through the NLS scaling
 law mapped through the transform (exact for delta = 0, a good first guess
 otherwise).  With jobs > 1 the ladder is cut into contiguous chunks, each
-walked the same way in its own process.  Results land in an append-only
-store keyed by (N, p, delta, omega, resolution); re-running a point
-overwrites only if its residuals improve.  Persistence is CSV plus JSON
-sidecars and is byte-deterministic for a fixed plan.
+walked the same way in its own process.  Results land in a store keyed
+by (N, p, delta, omega, resolution).  Persistence is CSV plus JSON sidecars
+and is byte-deterministic for a fixed plan.
 """
 from __future__ import annotations
 
@@ -87,12 +86,10 @@ class PointRecord:
     failure: Optional[str] = None
     report: Optional[SolveReport] = None
     spectral: Optional[spectra.SpectralReport] = None
-    #: max(Pohozaev, Nehari residual) of the solve; outlives a dropped report
-    residual: float = math.inf
 
 
 class BranchStore:
-    """Append-only record of computed branch points, keyed by
+    """Record of computed branch points, keyed by
     (N, p, delta, omega, resolution)."""
 
     def __init__(self, plan: Optional[SweepPlan] = None):
@@ -102,14 +99,8 @@ class BranchStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def insert(self, record: PointRecord) -> bool:
-        """Idempotent insert: an existing point is replaced only when the
-        new record's identity residuals are strictly better."""
-        old = self._records.get(record.key)
-        if old is not None and old.residual <= record.residual:
-            return False
+    def insert(self, record: PointRecord) -> None:
         self._records[record.key] = record
-        return True
 
     def records(self) -> list[PointRecord]:
         return sorted(self._records.values(), key=lambda r: -r.point.omega)
@@ -228,9 +219,7 @@ def compute_point(params: Params, resolution: int = 1024,
         quasi_grad=d.quasi_grad, energy=d.energy, m_omega=d.m_omega,
         lambda_omega=lam, regime=regime.tag)
     return PointRecord(key=key, point=point, accepted=bool(report.accepted()),
-                       failure=failure, report=report, spectral=spectral,
-                       residual=max(report.pohozaev_residual,
-                                    report.nehari_residual))
+                       failure=failure, report=report, spectral=spectral)
 
 
 def _walk(plan: SweepPlan, omegas: Sequence[float]) -> list[PointRecord]:

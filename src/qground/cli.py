@@ -1,7 +1,9 @@
 """Command-line interface: solve, sweep, spectrum, verify and fit.
 
-Exit codes: 0 success, 1 failed verification gates, 2 invalid flags or
-parameters.  The output root defaults to $QG_OUT_DIR (or ./runs).
+Exit codes: 0 success, 1 failed verification gates (or failed sweep
+points), 2 invalid flags or parameters, or an --out directory that cannot be
+written, 3 a solve that raised a typed solver failure (a QGroundError such
+as BracketFailure).  The output root defaults to $QG_OUT_DIR (or ./runs).
 """
 from __future__ import annotations
 
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
         return 2
     except QGroundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
     return 2
 
 

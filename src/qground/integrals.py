@@ -4,13 +4,11 @@ quasilinear gradient integral Q_grad, the potential term P, beta = P/T,
 the energy E, and the variational level m_omega.
 
 Every integral is Simpson on the grid (taken in the uniform stretching
-parameter, so the weights keep fourth order) plus the contribution of the
-fitted decay beyond R_max.  An exponential tail contributes nothing: R_max
-spans at least 15 decay lengths 1/sqrt(omega) (params.make_grid), so what
-lies beyond carries about e^{-30} of each moment.  A power tail contributes
-its closed form, and raises Divergent when that integral does not converge,
-which is how the low-dimension mass blow-up of the zero-mass limit shows up
-in practice.
+parameter, so the weights keep fourth order) plus the moment of the fitted
+decay beyond R_max, which the law computes itself (params.Decay.moment and
+gradient_moment): nothing for an exponential tail, the closed form for a
+power tail, or Divergent when that integral does not converge, which is how
+the low-dimension mass blow-up of the zero-mass limit shows up in practice.
 """
 from __future__ import annotations
 
@@ -23,16 +21,10 @@ from scipy.integrate import simpson
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConstraintViolated, Divergent, InvalidParams
-from .params import (DECAY_EXPONENTIAL, Decay, Params, RadialGrid,
-                     RadialProfile)
+from .params import Params, RadialGrid, RadialProfile, sphere_area
 
 #: largest relative gap of the dual Pohozaev cross-check in level_m_omega
 LEVEL_CROSS_CHECK_TOL = 1e-6
-
-
-def sphere_area(dim: int) -> float:
-    """Surface measure |S^{N-1}| = 2 pi^{N/2} / Gamma(N/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
 
 
 def sobolev_constant(dim: int) -> float:
@@ -61,56 +53,27 @@ def integrate_radial(values: np.ndarray, grid: RadialGrid, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# closed-form tail moments
-# ---------------------------------------------------------------------------
-
-def tail_moment(decay: Optional[Decay], dim: int, k: float, j: float,
-                r_from: float) -> float:
-    """|S^{N-1}| * int_{r_from}^inf rho^{N-1+j} u_tail(rho)^k drho.
-
-    j shifts the radial power (the derivative tail needs j = -2).  A power
-    tail gives the closed form, or Divergent when the integral does not
-    converge; an exponential tail past R_max gives 0 (see the module
-    docstring).
-    """
-    if decay is None or decay.kind == DECAY_EXPONENTIAL:
-        return 0.0
-    e = dim - 1 + j - k * decay.exponent
-    if e >= -1.0:
-        raise Divergent(
-            f"power tail rho^-{decay.exponent} makes the k={k} moment "
-            f"diverge in dimension {dim}")
-    return sphere_area(dim) * decay.amplitude ** k * r_from ** (e + 1.0) \
-        / (-(e + 1.0))
-
-
-def _derivative_tail(decay: Optional[Decay], dim: int, k_val: float,
-                     r_from: float) -> float:
-    """Tail of int u^(k_val-2) * (u')^2 dx; u' = -q u / rho on a power tail."""
-    if decay is None or decay.kind == DECAY_EXPONENTIAL:
-        return 0.0
-    return decay.exponent ** 2 * tail_moment(decay, dim, k_val, -2.0, r_from)
-
-
-# ---------------------------------------------------------------------------
 # profile functionals
 # ---------------------------------------------------------------------------
 
 def profile_moment(profile: RadialProfile, k: float, dim: int) -> float:
     """int |u|^k dx with the tail of the fitted decay."""
-    tail = tail_moment(profile.decay, dim, k, 0.0, profile.grid.r_max)
+    decay, r_max = profile.decay, profile.grid.r_max
+    tail = decay.moment(k, r_max) if decay else 0.0
     return integrate_radial(np.abs(profile.values) ** k, profile.grid, dim, tail)
 
 
 def dirichlet_integral(profile: RadialProfile, dim: int) -> float:
     """int |grad u|^2 dx = |S^{N-1}| int (u')^2 rho^{N-1} drho + tail."""
-    tail = _derivative_tail(profile.decay, dim, 2.0, profile.grid.r_max)
+    decay, r_max = profile.decay, profile.grid.r_max
+    tail = decay.gradient_moment(2.0, r_max) if decay else 0.0
     return integrate_radial(profile.derivative_values ** 2, profile.grid, dim, tail)
 
 
 def quasi_gradient_integral(profile: RadialProfile, dim: int) -> float:
     """int u^2 |grad u|^2 dx, the quasilinear gradient integral."""
-    tail = _derivative_tail(profile.decay, dim, 4.0, profile.grid.r_max)
+    decay, r_max = profile.decay, profile.grid.r_max
+    tail = decay.gradient_moment(4.0, r_max) if decay else 0.0
     values = profile.values ** 2 * profile.derivative_values ** 2
     return integrate_radial(values, profile.grid, dim, tail)
 

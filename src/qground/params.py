@@ -16,9 +16,10 @@ from typing import Optional, Union
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
+from scipy.special import gamma as gamma_fn
 from scipy.special import kve
 
-from .errors import InvalidParams
+from .errors import Divergent, InvalidParams
 
 # Sobolev regime tags
 SUBCRITICAL = "subcritical"
@@ -219,14 +220,6 @@ CORE_NODE_FRACTION = 0.6
 MAX_STRETCH = 80.0
 
 
-def r_max_for(omega: float) -> float:
-    if omega > 1:
-        return 50.0 / math.sqrt(omega)
-    if omega > 0:
-        return max(50.0, MIN_DECAY_LENGTHS / np.sqrt(omega))
-    return ZERO_MASS_R_MAX
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radial nodes r_0 = 0 < ... < r_M = R_max.
@@ -262,9 +255,9 @@ class RadialGrid:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
 
-def make_grid(params_or_omega, resolution: int = 1024,
+def make_grid(params: Params, resolution: int = 1024,
               r_max: Optional[float] = None) -> RadialGrid:
-    """Build the radial grid for a given frequency.
+    """Build the radial grid for the frequency of `params`.
 
     R_max = max(50, 15/sqrt(omega)) for 0 < omega <= 1 and 1000 for
     omega = 0; about 60% of the nodes land inside the core [0, min(R_max,
@@ -276,23 +269,25 @@ def make_grid(params_or_omega, resolution: int = 1024,
     it: a fixed 20-unit core would leave the bubble under-resolved at very
     small frequencies.
     """
-    omega = params_or_omega.omega if isinstance(params_or_omega, Params) \
-        else float(params_or_omega)
+    omega = params.omega
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise InvalidParams(f"resolution must lie in "
                             f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     resolution = int(resolution) + (int(resolution) % 2)  # Simpson wants even
     if r_max is None:
-        r_max = r_max_for(omega)
+        if omega > 1:
+            r_max = 50.0 / math.sqrt(omega)
+        elif omega > 0:
+            r_max = max(50.0, MIN_DECAY_LENGTHS / np.sqrt(omega))
+        else:
+            r_max = ZERO_MASS_R_MAX
     elif omega > 0 and math.sqrt(omega) * r_max < MIN_DECAY_LENGTHS:
         raise InvalidParams(
             f"r_max = {r_max:g} spans fewer than {MIN_DECAY_LENGTHS:g} decay "
             f"lengths 1/sqrt(omega) at omega = {omega:g}")
     r_core = R_CORE / math.sqrt(omega) if omega > 1 else R_CORE
-    if isinstance(params_or_omega, Params) and omega > 0:
-        p = params_or_omega
-        if p.dim >= 3 and classify(p).is_critical:
-            r_core = max(r_core, 5.0 * omega ** (-1.0 / p.dim))
+    if omega > 0 and params.dim >= 3 and classify(params).is_critical:
+        r_core = max(r_core, 5.0 * omega ** (-1.0 / params.dim))
     r_core = min(r_max, r_core)
     target = r_core / r_max
     if target >= CORE_NODE_FRACTION:          # nearly uniform domain
@@ -321,47 +316,50 @@ DECAY_EXPONENTIAL = "exponential"
 DECAY_POWER = "power"
 
 
+def sphere_area(dim: int) -> float:
+    """Surface measure |S^{N-1}| = 2 pi^{N/2} / Gamma(N/2)."""
+    return 2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
+
+
 @dataclass(frozen=True)
 class Decay:
-    """Analytic tail attached to a profile beyond `match_radius`.
+    """Analytic tail attached to a profile beyond `match_radius`: the
+    decaying radial solution k of the linear far field -Delta v + omega v
+    = 0, fixed by the dimension N and rate = sqrt(omega) alone.
 
-    exponential: v(rho) = amplitude * rho^(-nu) * K_nu(rate * rho), with
-                 nu = (N-2)/2 and rate = sqrt(omega): the decaying radial
-                 solution of the linear far field -Delta v + omega v = 0
-                 (DLMF 10.25, 10.29), exact in every dimension
-    power:       v(rho) = amplitude * rho^(-exponent)
+    rate > 0:  v(rho) = amplitude * rho^(-nu) * K_nu(rate * rho), with
+               nu = (N-2)/2 (DLMF 10.25, 10.29), exact in every dimension
+    rate = 0:  v(rho) = amplitude * rho^(-(N-2)), the zero-mass tail
 
-    Each law is the decaying solution k of its linear far field; `growing`
-    splits a state over k and the growing solution i: rho^(-nu) I_nu(rate *
-    rho) for exponential tails, 1 for power tails.
-    This is the only place that knows the omega > 0 law; the Bessel
-    functions are evaluated as kve(nu, x) e^{-x}, so nothing overflows.
+    `growing` splits a state over k and the growing solution i: rho^(-nu)
+    I_nu(rate * rho) for exponential tails, 1 for power tails; `moment` and
+    `gradient_moment` integrate the tail past a radius.  This is the only
+    place that knows either law; the Bessel functions are evaluated as
+    kve(nu, x) e^{-x}, so nothing overflows.
     """
 
-    kind: str
     dim: int
-    rate: float = 0.0          # kappa = sqrt(omega) for exponential tails
-    exponent: float = 0.0      # N-2 for zero-mass tails
+    rate: float = 0.0
     amplitude: float = 1.0
     match_radius: float = np.inf
 
-    def __post_init__(self):
-        if self.kind not in (DECAY_EXPONENTIAL, DECAY_POWER):
-            raise ValueError(f"unknown decay kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        return DECAY_POWER if self.rate == 0.0 else DECAY_EXPONENTIAL
 
     def value(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        if self.kind == DECAY_POWER:
-            return self.amplitude * rho ** (-self.exponent)
+        if self.rate == 0.0:
+            return self.amplitude * rho ** -(self.dim - 2.0)
         nu, x = (self.dim - 2) / 2.0, self.rate * rho
         return self.amplitude * rho ** -nu * kve(nu, x) * np.exp(-x)
 
     def log_slope(self, rho: np.ndarray) -> np.ndarray:
         """-v'/v on the law, whatever the amplitude: rate K_{nu+1}/K_nu at
-        rate * rho for exponential tails, exponent/rho for power tails."""
+        rate * rho for exponential tails, (N-2)/rho for power tails."""
         rho = np.asarray(rho, dtype=float)
-        if self.kind == DECAY_POWER:
-            return self.exponent / rho
+        if self.rate == 0.0:
+            return (self.dim - 2.0) / rho
         nu, x = (self.dim - 2) / 2.0, self.rate * rho
         return self.rate * kve(nu + 1.0, x) / kve(nu, x)
 
@@ -371,9 +369,9 @@ class Decay:
     def growing(self, rho: float, v: float, vp: float) -> float:
         """Coefficient B of the growing solution i in (v, v') = A k + B i at
         rho: B = (k v' - k' v) / W{k, i}, where W = rho^{1-N} (DLMF 10.28.2)
-        for exponential tails and exponent * rho^{-exponent-1} for power."""
-        if self.kind == DECAY_POWER:
-            return v + rho * vp / self.exponent
+        for exponential tails and (N-2) rho^{1-N} for power tails."""
+        if self.rate == 0.0:
+            return v + rho * vp / (self.dim - 2.0)
         nu, x = (self.dim - 2) / 2.0, self.rate * rho
         return rho ** (nu + 1.0) * np.exp(-x) * (
             kve(nu, x) * vp + self.rate * kve(nu + 1.0, x) * v)
@@ -382,6 +380,29 @@ class Decay:
         """The law rescaled to pass through v at the match radius rho."""
         return replace(self, amplitude=self.amplitude * v
                        / float(self.value(rho)), match_radius=rho)
+
+    def moment(self, k: float, r_from: float, j: float = 0.0) -> float:
+        """|S^{N-1}| * int_{r_from}^inf rho^{N-1+j} v(rho)^k drho.
+
+        An exponential tail gives 0: grids put R_max at least 15 decay
+        lengths 1/rate out (make_grid), and what lies beyond carries about
+        e^{-30} of the moment.  A power tail gives the closed form, or
+        Divergent when the integral does not converge.
+        """
+        if self.rate > 0.0:
+            return 0.0
+        q = self.dim - 2.0
+        e = self.dim - 1 + j - k * q
+        if e >= -1.0:
+            raise Divergent(f"power tail rho^-{q} makes the k={k} moment "
+                            f"diverge in dimension {self.dim}")
+        return sphere_area(self.dim) * self.amplitude ** k \
+            * r_from ** (e + 1.0) / (-(e + 1.0))
+
+    def gradient_moment(self, k: float, r_from: float) -> float:
+        """|S^{N-1}| * int_{r_from}^inf rho^{N-1} v^(k-2) (v')^2 drho; on a
+        power tail v' = -(N-2) v / rho."""
+        return (self.dim - 2.0) ** 2 * self.moment(k, r_from, -2.0)
 
 
 @dataclass

@@ -48,8 +48,8 @@ from . import integrals, transform
 from .errors import (AmbiguousTrajectory, BracketFailure,
                      ConstraintViolated, InvalidParams, NoConvergence,
                      NoGroundState)
-from .params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
-                     RadialGrid, RadialProfile, Regime, classify, make_grid)
+from .params import (Decay, Params, RadialGrid, RadialProfile, Regime,
+                     classify, make_grid)
 
 #: start of integration; the (N-1)/rho singularity is bridged by a series
 START_RADIUS = 1e-4
@@ -104,13 +104,9 @@ class _Shooter:
         self.s_star = transform.s_star(params)
         self.integrations = 0
         n = params.dim
-        if params.omega > 0:
-            self.law = Decay(kind=DECAY_EXPONENTIAL, dim=n,
-                             rate=math.sqrt(params.omega))
-            self.r_exit = r_max
-        else:
-            self.law = Decay(kind=DECAY_POWER, dim=n, exponent=float(n - 2))
-            self.r_exit = ZERO_MASS_MATCH_FRACTION * r_max
+        self.law = Decay(n, math.sqrt(params.omega))
+        self.r_exit = r_max if params.omega > 0 \
+            else ZERO_MASS_MATCH_FRACTION * r_max
         two_delta, pm1, omega = 2.0 * params.delta, params.p - 1.0, params.omega
 
         def rhs(rho, y):

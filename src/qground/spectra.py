@@ -29,8 +29,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from . import transform
 from .errors import EntryMismatch, InvalidParams, NearSingular
-from .integrals import sphere_area
-from .params import Params, RadialGrid, RadialProfile, classify
+from .params import Params, RadialGrid, RadialProfile, classify, sphere_area
 
 KIND_LPLUS = "L+"
 KIND_LMINUS = "L-"
@@ -337,8 +336,7 @@ class MatrixL:
 
 
 def matrix_l_closed_form(params: Params, mprime: float, mass: float,
-                         dirichlet: float, quasi_grad: float,
-                         potential: float) -> np.ndarray:
+                         quasi_grad: float, potential: float) -> np.ndarray:
     """Closed-form entries of the restriction of L+ to the span of
     {d_omega u, u, x.grad u + N/2 u}; the paper's identity chain supplies
     every entry from scalar functionals and M'."""
@@ -365,8 +363,8 @@ def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
     differenced.  Raises EntryMismatch when any entry's two routes
     disagree beyond MATRIX_L_MISMATCH_TOL relative to the entry scale.
     """
-    entries = matrix_l_closed_form(params, mprime, mass, dirichlet,
-                                   quasi_grad, potential)
+    entries = matrix_l_closed_form(params, mprime, mass, quasi_grad,
+                                   potential)
     u_r = op.restrict(u.values)
     scaling = op.restrict(
         u.grid.nodes * u.derivative_values) + 0.5 * params.dim * u_r

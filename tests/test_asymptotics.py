@@ -36,19 +36,18 @@ class TestBubble:
     def test_w_critical_norm_is_one(self):
         # int W^{2*} = 1 with W = U(sqrt(m_*) x)
         from qground.integrals import profile_moment
-        from qground.params import DECAY_POWER, Decay, RadialProfile
+        from qground.params import Decay, RadialProfile
 
         for dim in (3, 5):
             bubble = AubinTalenti(dim)
-            grid = make_grid(0.0, 2048)
+            grid = make_grid(Params(dim, 3, 1.0, 0.0), 2048)
             s = math.sqrt(bubble.m_star)
             w_vals = bubble.value(s * grid.nodes)
             w_der = s * bubble.derivative(s * grid.nodes)
             amp = (dim * (dim - 2.0)) ** ((dim - 2.0) / 2.0) / s ** (dim - 2)
             profile = RadialProfile(
                 grid=grid, values=w_vals, derivative_values=w_der,
-                decay=Decay(kind=DECAY_POWER, exponent=float(dim - 2),
-                            amplitude=amp, match_radius=grid.r_max, dim=dim))
+                decay=Decay(dim, amplitude=amp, match_radius=grid.r_max))
             val = profile_moment(profile, 2.0 * dim / (dim - 2), dim)
             assert val == pytest.approx(1.0, rel=1e-8)
 
@@ -57,7 +56,7 @@ class TestBubble:
         from qground.integrals import dirichlet_integral
 
         bubble = AubinTalenti(3)
-        prof = bubble.sample(make_grid(0.0, 2048))
+        prof = bubble.sample(make_grid(Params(3, 3, 1.0, 0.0), 2048))
         assert dirichlet_integral(prof, 3) == pytest.approx(
             bubble.m_star ** 1.5, rel=1e-8)
 

@@ -2,9 +2,8 @@ import pytest
 
 from qground import branch
 from qground.asymptotics import ladder_derivative
-from qground.branch import (BranchStore, PointRecord, SweepPlan,
-                            energy_identity_check, geometric_ladder,
-                            run_sweep, scaled_height_guess)
+from qground.branch import (BranchStore, SweepPlan, energy_identity_check,
+                            geometric_ladder, run_sweep, scaled_height_guess)
 from qground.errors import (ConstraintViolated, InsufficientNeighbors,
                             InvalidParams, NoConvergence)
 from qground.params import Params
@@ -121,29 +120,6 @@ class TestWarmStartChain:
 
 
 class TestStore:
-    def test_idempotent_insert_keeps_better(self, small_sweep):
-        _, store = small_sweep
-        rec = store.records()[0]
-        worse = PointRecord(key=rec.key, point=rec.point, accepted=True,
-                            report=None)   # residual = inf
-        assert not store.insert(worse)
-        assert store.records()[0].report is not None
-
-    def test_better_record_replaces_stripped_one(self):
-        # without its report a stored point keeps its residual, so a re-run
-        # with strictly better identities still replaces it
-        plan = SweepPlan(dim=3, p=3, delta=0.0, omegas=(1.0,),
-                         keep_reports=False)
-        store = run_sweep(plan)
-        stored = store.records()[0]
-        assert stored.report is None
-        assert 0.0 < stored.residual < 1e-6
-        better = PointRecord(key=stored.key, point=stored.point, accepted=True,
-                             residual=0.5 * stored.residual)
-        assert store.insert(better)
-        assert store.records()[0] is better
-        assert not store.insert(better)
-
     def test_csv_roundtrip(self, small_sweep, tmp_path):
         plan, store = small_sweep
         root = store.write(tmp_path)

@@ -70,6 +70,16 @@ class TestSolveCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_solver_failure_is_exit_three(self, tmp_path, capsys):
+        # p near 1 with delta > 0: the height monitor never changes sign, a
+        # typed solver failure, told apart from a failed gate (exit 1)
+        code = main(["solve", "--dim", "3", "--p", "21/20", "--delta", "1",
+                     "--omega", "1", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "does not change sign" in err
+
     def test_unwritable_out_is_exit_two(self, tmp_path, capsys):
         # --out names a file, so the output directory cannot be made
         blocker = tmp_path / "file"

@@ -11,20 +11,24 @@ from qground.integrals import (compute_diagnostics, critical_key_residual,
                                moser_bound_check, nehari_residual,
                                pohozaev_residual, profile_moment,
                                quasi_gradient_integral, radial_decay_check,
-                               sobolev_constant, sphere_area, tail_moment)
-from qground.params import (DECAY_EXPONENTIAL, DECAY_POWER, Decay, Params,
-                            RadialProfile, make_grid)
+                               sobolev_constant, sphere_area)
+from qground.params import Decay, Params, RadialProfile, make_grid
 from qground.transform import F_omega_u
+
+
+#: the grids of the cubic problem in 3D at omega = 1 and at omega = 0
+UNIT = Params(3, 3, 1.0, 1.0)
+ZERO_MASS = Params(3, 3, 1.0, 0.0)
 
 
 class TestQuadratureCore:
     def test_zero(self):
-        grid = make_grid(1.0, 256)
+        grid = make_grid(UNIT, 256)
         assert integrate_radial(np.zeros_like(grid.nodes), grid, 3) == 0.0
 
     def test_gaussian(self):
         # int_{R^3} e^{-|x|^2} dx = pi^{3/2}
-        grid = make_grid(1.0, 1024)
+        grid = make_grid(UNIT, 1024)
         val = integrate_radial(np.exp(-grid.nodes ** 2), grid, 3)
         assert val == pytest.approx(math.pi ** 1.5, rel=1e-10)
 
@@ -34,7 +38,7 @@ class TestQuadratureCore:
         exact = 8.0 * math.pi   # int_{R^3} e^{-|x|} dx
         errs = []
         for res in (128, 256, 512):
-            grid = make_grid(1.0, res)
+            grid = make_grid(UNIT, res)
             val = integrate_radial(np.exp(-grid.nodes), grid, 3)
             errs.append(abs(val - exact))
         assert math.log2(errs[0] / errs[1]) >= 3.9
@@ -49,12 +53,11 @@ class TestQuadratureCore:
 def _synthetic_profile(dim, resolution=1024):
     """u = (1 + rho^2)^{-(N-2)/2}, which decays like rho^{-(N-2)}, with its
     exact power tail."""
-    grid = make_grid(0.0, resolution)
+    grid = make_grid(ZERO_MASS, resolution)
     rho = grid.nodes
     u = (1.0 + rho ** 2) ** (-(dim - 2) / 2.0)
     up = -(dim - 2) * rho * (1.0 + rho ** 2) ** (-dim / 2.0)
-    decay = Decay(kind=DECAY_POWER, exponent=float(dim - 2), amplitude=1.0,
-                  match_radius=grid.r_max, dim=dim)
+    decay = Decay(dim, amplitude=1.0, match_radius=grid.r_max)
     return RadialProfile(grid=grid, values=u, derivative_values=up, decay=decay)
 
 
@@ -70,7 +73,8 @@ class TestTails:
                 lambda t: t ** (dim - 1) * u.decay.value(t) ** k,
                 r_max, np.inf)[0]
             assert 0.0 < past < 1e-12 * profile_moment(u, k, dim)
-            assert tail_moment(u.decay, dim, k, 0.0, r_max) == 0.0
+            assert u.decay.moment(k, r_max) == 0.0
+            assert u.decay.gradient_moment(k, r_max) == 0.0
 
     def test_power_tail_divergence(self):
         profile = _synthetic_profile(4)
@@ -138,7 +142,7 @@ class TestLevel:
 
         for dim in (3, 4, 5):
             bubble = AubinTalenti(dim)
-            grid = make_grid(0.0, 2048)
+            grid = make_grid(ZERO_MASS, 2048)
             prof = bubble.sample(grid)
             t_val = dirichlet_integral(prof, dim)
             p_val = profile_moment(prof, 2 * dim / (dim - 2), dim)
@@ -150,11 +154,9 @@ class TestLevel:
         """Reference: (2* int F_omega)^(2/N) by quadrature of F_omega over
         the v profile, with the tail moments of its fitted decay."""
         params, v = rep.params, rep.v
-        tail = tail_moment(v.decay, params.dim, params.p + 1.0, 0.0,
-                           v.grid.r_max) / (params.p + 1.0)
+        tail = v.decay.moment(params.p + 1.0, v.grid.r_max) / (params.p + 1.0)
         if params.omega > 0:
-            tail -= 0.5 * params.omega * tail_moment(
-                v.decay, params.dim, 2.0, 0.0, v.grid.r_max)
+            tail -= 0.5 * params.omega * v.decay.moment(2.0, v.grid.r_max)
         int_f = integrate_radial(F_omega_u(rep.u.values, params), v.grid,
                                  params.dim, tail)
         return (params.two_star() * int_f) ** (2.0 / params.dim)
@@ -196,15 +198,14 @@ class TestAppendixChecks:
             assert radial_decay_check(rep.u, two_star, rep.params.dim)
 
     def test_spike_fails_decay_check(self):
-        grid = make_grid(1.0, 256)
+        grid = make_grid(UNIT, 256)
         rho = grid.nodes
         spike = 5.0 * np.exp(-200.0 * (rho - 3.0) ** 2) + 1e-3 * np.exp(-rho)
         dspike = np.gradient(spike, rho)
         profile = RadialProfile(grid=grid, values=spike,
                                 derivative_values=dspike,
-                                decay=Decay(kind=DECAY_EXPONENTIAL, rate=1.0,
-                                            amplitude=0.0, match_radius=50.0,
-                                            dim=3))
+                                decay=Decay(dim=3, rate=1.0, amplitude=0.0,
+                                            match_radius=50.0))
         assert not radial_decay_check(profile, 2.0, 3)
 
     def test_gn_ratio(self, crit3):

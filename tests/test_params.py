@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from scipy.special import iv
 from qground.params import (CRITICAL, DECAY_EXPONENTIAL, DECAY_POWER,
                             MASS_CRITICAL_PLUS,
                             MASS_SUBCRITICAL, MAX_RESOLUTION, SUBCRITICAL,
-                            SUPERCRITICAL, Decay, Params, classify, make_grid)
+                            SUPERCRITICAL, Decay, Params, classify, make_grid,
+                            sphere_area)
 
 
 class TestClassify:
@@ -77,29 +80,34 @@ class TestClassify:
             Params(3, p, delta, omega)
 
 
+def _grid(omega, resolution, **kwargs):
+    """The grid of the (non-critical) cubic problem in 3D at omega."""
+    return make_grid(Params(3, 3, 1.0, omega), resolution, **kwargs)
+
+
 class TestGrid:
     def test_r_max_formula(self):
-        assert make_grid(1.0, 1024).r_max == 50.0
-        assert make_grid(0.01, 1024).r_max == pytest.approx(150.0)
-        assert make_grid(0.0, 1024).r_max == 1000.0
+        assert _grid(1.0, 1024).r_max == 50.0
+        assert _grid(0.01, 1024).r_max == pytest.approx(150.0)
+        assert _grid(0.0, 1024).r_max == 1000.0
 
     def test_grid_scales_for_large_omega(self):
         # above omega = 1 the whole grid is the omega = 1 grid shrunk by
         # 1/sqrt(omega), the length scale of the profile
-        unit, narrow = make_grid(1.0, 1024), make_grid(16.0, 1024)
+        unit, narrow = _grid(1.0, 1024), _grid(16.0, 1024)
         assert narrow.r_max == 12.5
         assert np.allclose(narrow.nodes, unit.nodes / 4.0, rtol=1e-9)
 
     def test_short_r_max_rejected(self):
         # the integrals drop the exponential tail past R_max, which needs
         # R_max to span 15 decay lengths 1/sqrt(omega)
-        assert make_grid(0.25, 256, r_max=30.0).r_max == 30.0
+        assert _grid(0.25, 256, r_max=30.0).r_max == 30.0
         with pytest.raises(InvalidParams, match="decay lengths"):
-            make_grid(0.25, 256, r_max=29.0)
-        assert make_grid(0.0, 256, r_max=29.0).r_max == 29.0
+            _grid(0.25, 256, r_max=29.0)
+        assert _grid(0.0, 256, r_max=29.0).r_max == 29.0
 
     def test_structure(self):
-        grid = make_grid(1.0, 1024)
+        grid = _grid(1.0, 1024)
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == grid.r_max
         assert np.all(np.diff(grid.nodes) > 0)
@@ -107,16 +115,16 @@ class TestGrid:
 
     def test_minimum_resolution(self):
         with pytest.raises(InvalidParams):
-            make_grid(1.0, 32)
+            _grid(1.0, 32)
 
     def test_maximum_resolution(self):
-        assert make_grid(1.0, MAX_RESOLUTION).resolution == MAX_RESOLUTION
+        assert _grid(1.0, MAX_RESOLUTION).resolution == MAX_RESOLUTION
         for resolution in (MAX_RESOLUTION + 1, 10 ** 11):
             with pytest.raises(InvalidParams, match="resolution"):
-                make_grid(1.0, resolution)
+                _grid(1.0, resolution)
 
     def test_jacobian_consistency(self):
-        grid = make_grid(0.25, 512)
+        grid = _grid(0.25, 512)
         fd = np.gradient(grid.nodes, grid.xi)
         interior = slice(2, -2)
         assert np.allclose(fd[interior], grid.jacobian[interior], rtol=1e-3)
@@ -125,7 +133,7 @@ class TestGrid:
         # tiny critical frequencies spread the core; node density must follow
         params = Params(3, 5, 1.0, 2.0 ** -24)
         wide = make_grid(params, 1024)
-        narrow = make_grid(params.omega, 1024)
+        narrow = _grid(params.omega, 1024)       # p = 3: not critical
         assert wide.r_max == narrow.r_max
         # more room in the core: the median node moves outward
         assert np.median(wide.nodes) > np.median(narrow.nodes)
@@ -142,7 +150,7 @@ class TestGrid:
 class TestDecay:
     def test_three_dimensional_law_is_exponential(self):
         # rho^{-1/2} K_{1/2}(kappa rho) = sqrt(pi/(2 kappa)) e^{-kappa rho}/rho
-        law = Decay(kind=DECAY_EXPONENTIAL, dim=3, rate=0.5, amplitude=2.0)
+        law = Decay(dim=3, rate=0.5, amplitude=2.0)
         rho = np.array([1.0, 10.0, 400.0, 2000.0])
         expected = 2.0 * np.sqrt(np.pi) * np.exp(-0.5 * rho) / rho
         assert np.allclose(law.value(rho), expected, rtol=1e-13, atol=0.0)
@@ -152,7 +160,7 @@ class TestDecay:
     def test_law_solves_the_linear_far_field(self, dim):
         # v'' + (N-1)/rho v' = omega v, checked on the law's own derivative
         omega = 0.3
-        law = Decay(kind=DECAY_EXPONENTIAL, dim=dim, rate=np.sqrt(omega))
+        law = Decay(dim=dim, rate=np.sqrt(omega))
         rho, eps = np.linspace(2.0, 40.0, 7), 1e-5
         vpp = (law.derivative(rho + eps) - law.derivative(rho - eps)) / (2 * eps)
         lhs = vpp + (dim - 1) / rho * law.derivative(rho)
@@ -164,7 +172,7 @@ class TestDecay:
     def test_growing_splits_off_the_bessel_modes(self, dim):
         # B = 0 on rho^{-nu} K_nu(kappa rho) and B = 1 on rho^{-nu} I_nu
         kappa, nu = 0.7, (dim - 2) / 2.0
-        law = Decay(kind=DECAY_EXPONENTIAL, dim=dim, rate=kappa, amplitude=3.0)
+        law = Decay(dim=dim, rate=kappa, amplitude=3.0)
         for rho in (0.5, 5.0, 30.0):
             i = rho ** -nu * iv(nu, kappa * rho)
             ip = rho ** -nu * kappa * iv(nu + 1.0, kappa * rho)
@@ -175,23 +183,41 @@ class TestDecay:
 
     def test_growing_splits_off_the_power_modes(self):
         # B = 0 on rho^{-(N-2)} and B = 1 on the constant
-        law = Decay(kind=DECAY_POWER, dim=5, exponent=3.0)
+        law = Decay(dim=5)                # rate 0: rho^{-3}
         for rho in (0.5, 5.0, 30.0):
             assert law.growing(rho, 2.0 * rho ** -3, -6.0 * rho ** -4) \
                 == pytest.approx(0.0, abs=1e-15)
             assert law.growing(rho, 1.0, 0.0) == 1.0
 
     def test_matched_passes_through_the_point(self):
-        law = Decay(kind=DECAY_EXPONENTIAL, dim=5, rate=0.2).matched(60.0, 1e-9)
+        law = Decay(dim=5, rate=0.2).matched(60.0, 1e-9)
         assert law.value(60.0) == pytest.approx(1e-9, rel=1e-14)
         assert law.match_radius == 60.0
 
     def test_dimension_is_required(self):
         # the Bessel order nu = (N-2)/2 depends on it
         with pytest.raises(TypeError):
-            Decay(kind=DECAY_EXPONENTIAL, rate=1.0)
-        with pytest.raises(ValueError, match="unknown decay kind"):
-            Decay(kind="gaussian", dim=3)
+            Decay(rate=1.0)
+
+    def test_dimension_and_rate_fix_the_law(self):
+        # a tail is a power law exactly when rate = 0, with exponent N - 2
+        assert [f.name for f in fields(Decay)] == [
+            "dim", "rate", "amplitude", "match_radius"]
+        assert Decay(dim=3, rate=0.5).kind == DECAY_EXPONENTIAL
+        law = Decay(dim=5)
+        assert law.kind == DECAY_POWER
+        assert law.log_slope(2.0) == 1.5
+        with pytest.raises(AttributeError):
+            law.kind = DECAY_EXPONENTIAL
+
+    def test_power_tail_moments(self):
+        # past rho = 10: v = 2 rho^{-3} in R^5, so v^2 rho^4 = 4 rho^{-2}
+        # and (v')^2 rho^4 = 36 rho^{-4}
+        law = Decay(dim=5, amplitude=2.0)
+        assert law.moment(2.0, 10.0) == pytest.approx(
+            sphere_area(5) * 4.0 / 10.0, rel=1e-14)
+        assert law.gradient_moment(2.0, 10.0) == pytest.approx(
+            sphere_area(5) * 36.0 / (3.0 * 10.0 ** 3), rel=1e-14)
 
 
 class TestProfileCsv:

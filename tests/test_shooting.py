@@ -198,6 +198,10 @@ class TestReports:
     def test_iterations_counted(self, crit3):
         assert crit3.iterations > 10
 
+    def test_tail_kind_follows_omega(self, super53, zero_mass53):
+        assert super53.to_json_dict()["tail_kind"] == "exponential"
+        assert zero_mass53.to_json_dict()["tail_kind"] == "power"
+
     def test_json_roundtrip(self, crit3):
         import json
 

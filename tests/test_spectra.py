@@ -248,7 +248,7 @@ class TestMatrixL:
         d = crit3.diagnostics
         mp = mprime_resolvent(crit3.u, crit3.params)
         generic = matrix_l_closed_form(crit3.params, mp.primal, d.mass,
-                                       d.dirichlet, d.quasi_grad, d.potential)
+                                       d.quasi_grad, d.potential)
         special = matrix_l_critical_form(crit3.params, mp.primal, d.mass,
                                          d.dirichlet, d.beta)
         assert np.allclose(generic, special, rtol=1e-5,
