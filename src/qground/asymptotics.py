@@ -239,12 +239,12 @@ def extract_lambda(u: RadialProfile, params: Params) -> float:
     return float(u.values[0]) ** (-2.0 / (params.dim - 2.0))
 
 
-def bubble_distance(u: RadialProfile, params: Params, x_max: float = 5.0,
-                    samples: int = 400) -> float:
-    """Sup distance of the blow-up rescaled profile to U on [0, x_max]."""
+def bubble_distance(u: RadialProfile, params: Params) -> float:
+    """Sup distance of the blow-up rescaled profile to U on [0, 5], over
+    400 evenly spaced points."""
     lam = extract_lambda(u, params)
     bubble = AubinTalenti(params.dim)
-    x = np.linspace(0.0, x_max, samples)
+    x = np.linspace(0.0, 5.0, 400)
     rescaled = lam ** ((params.dim - 2.0) / 2.0) * u(lam * x)
     return float(np.max(np.abs(rescaled - bubble.value(x))))
 
@@ -307,18 +307,16 @@ def _mprime_trend(window: Sequence[MassCurvePoint]) -> dict:
 
 
 def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
-                            last_profile: Optional[RadialProfile] = None,
-                            fit_count: int = 8,
-                            selection_count: int = 15) -> dict:
+                            last_profile: Optional[RadialProfile] = None
+                            ) -> dict:
     """Log-log fits of M, lambda and the level gap on a critical ladder.
 
-    Exponent fits use the `fit_count` smallest frequencies: the approach to
-    the power laws carries omega^{1/4}-type corrections (N = 3), so the
-    crossover end of the ladder would bias the slopes.  For N = 4 the
-    pure-power and fixed-log-exponent models (M carries log exponent +1/2,
-    lambda -1/4) are compared by AICc over the `selection_count` smallest
-    points; on wider windows neither model is meaningful since both miss
-    the crossover.  Also checks M' < 0 with |M'| increasing toward
+    Exponent fits use the 8 smallest frequencies: the approach to the power
+    laws carries omega^{1/4}-type corrections (N = 3), so the crossover end
+    of the ladder would bias the slopes.  For N = 4 the pure-power and
+    fixed-log-exponent models (M carries log exponent +1/2, lambda -1/4) are
+    compared by AICc over the 15 smallest points; on wider windows neither
+    model is meaningful since both miss the crossover.  Also checks M' < 0 with |M'| increasing toward
     omega = 0, and the decrease of omega * lambda^2 along the ladder.
     """
     regime = classify(params.with_omega(1.0))
@@ -334,12 +332,12 @@ def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
     gap = np.array([q.m_omega - m_star for q in pts])
 
     out: dict = {"m_star": m_star}
-    k = min(fit_count, len(pts))
+    k = min(8, len(pts))
     out["mass_fit"] = fit_power_law(w[:k], mass[:k])
     out["lambda_fit"] = fit_power_law(w[:k], lam[:k])
     out["gap_fit"] = fit_power_law(w[:k], gap[:k])
     if params.dim == 4:
-        s = min(selection_count, len(pts))
+        s = min(15, len(pts))
         mass_pure = fit_power_law(w[:s], mass[:s])
         mass_log = fit_power_law(w[:s], mass[:s], log_exponent=0.5)
         lam_pure = fit_power_law(w[:s], lam[:s])
@@ -364,13 +362,13 @@ def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
 
 
 def supercritical_limit_check(points: Sequence[MassCurvePoint], u0_report,
-                              params: Params, fit_count: int = 10) -> dict:
+                              params: Params) -> dict:
     """Limits of the supercritical branch against the zero-mass solution.
 
     Checks omega M -> 0 monotonically; for N >= 5 extrapolates M to
     |u_0|_2^2, for N in {3, 4} verifies unbounded mass growth.  The M'
     trend (negative, growing in magnitude) is checked on the asymptotic
-    window of the `fit_count` smallest frequencies.
+    window of the 11 smallest frequencies.
     """
     regime = classify(params.with_omega(1.0))
     if not regime.is_supercritical:
@@ -389,7 +387,7 @@ def supercritical_limit_check(points: Sequence[MassCurvePoint], u0_report,
         out["mass_limit_rel_err"] = abs(m_limit - u0_mass) / u0_mass
     else:
         out["mass_growth_factor"] = float(mass[0] / mass[-1])
-    out.update(_mprime_trend(pts[:fit_count]))
+    out.update(_mprime_trend(pts[:11]))
     return out
 
 

@@ -92,7 +92,7 @@ class BranchStore:
     """Record of computed branch points, keyed by
     (N, p, delta, omega, resolution)."""
 
-    def __init__(self, plan: Optional[SweepPlan] = None):
+    def __init__(self, plan: SweepPlan):
         self.plan = plan
         self._records: dict[tuple, PointRecord] = {}
 
@@ -105,9 +105,9 @@ class BranchStore:
     def records(self) -> list[PointRecord]:
         return sorted(self._records.values(), key=lambda r: -r.point.omega)
 
-    def points(self, accepted_only: bool = True) -> list[MassCurvePoint]:
-        return [r.point for r in self.records()
-                if r.accepted or not accepted_only]
+    def points(self) -> list[MassCurvePoint]:
+        """The accepted points, largest omega first."""
+        return [r.point for r in self.records() if r.accepted]
 
     def reports(self) -> list[SolveReport]:
         return [r.report for r in self.records() if r.report is not None]
@@ -130,8 +130,7 @@ class BranchStore:
 
     def write(self, out_dir: Union[str, Path]) -> Path:
         """Write runs/<tag>/branch.csv plus per-point JSON sidecars."""
-        tag = self.plan.tag if self.plan else "run"
-        root = Path(out_dir) / tag
+        root = Path(out_dir) / self.plan.tag
         (root / "points").mkdir(parents=True, exist_ok=True)
         (root / "branch.csv").write_text(self.to_csv_string())
         for rec in self.records():
@@ -281,22 +280,19 @@ def _fill_mprime_fd(store: BranchStore) -> None:
         rec.point = replace(rec.point, mprime_fd=fd)
 
 
-def energy_identity_check(params: Params, resolution: int = 1024,
-                          ratio: float = 0.95, width: int = 5) -> float:
+def energy_identity_check(params: Params, resolution: int = 1024) -> float:
     """Relative residual of E'(omega) = -(omega/2) M'(omega) at one point.
 
     Both sides are centered finite differences on a dedicated local ladder
-    of `width` points at the given spacing ratio (warm-started, so cheap).
-    The production branches use ratio 1/2, too coarse for differencing the
+    of five points at spacing ratio 0.95 (warm-started, so cheap).  The
+    production branches use ratio 1/2, too coarse for differencing the
     energy (E ~ omega^{3/2} in the subcritical regime makes the stencil
     bias a few percent there); at ratio 0.95 the bias is ~1e-6.  Raises
     ConstraintViolated when a point of the local ladder is not accepted.
     """
-    half = width // 2
     p = params.p_exact if params.p_exact is not None else params.p
     plan = SweepPlan(params.dim, p, params.delta,
-                     tuple(params.omega * ratio ** k
-                           for k in range(-half, half + 1)),
+                     tuple(params.omega * 0.95 ** k for k in range(-2, 3)),
                      resolution=resolution, keep_reports=False)
     store = run_sweep(plan)
     for rec in store.records():
@@ -304,7 +300,7 @@ def energy_identity_check(params: Params, resolution: int = 1024,
             raise ConstraintViolated(
                 f"energy identity stencil point omega={rec.point.omega!r} "
                 f"not accepted: {rec.failure or 'failed the acceptance gates'}")
-    return energy_identity_residuals(store.points())[half - 1]
+    return energy_identity_residuals(store.points())[1]
 
 
 def default_out_dir() -> Path:

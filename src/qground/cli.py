@@ -111,11 +111,20 @@ def _out_root(args) -> Path:
     return args.out if args.out is not None else default_out_dir()
 
 
+def _tag(args) -> str:
+    """The run's directory name: --tag, or the command and its parameters;
+    the slash of a fractional p becomes "_" so the name stays one path
+    component."""
+    tag = getattr(args, "tag", None) or (
+        f"{args.command}-N{args.dim}-p{args.p}-d{args.delta:g}"
+        + (f"-w{args.omega:g}" if hasattr(args, "omega") else ""))
+    return tag.replace("/", "_")
+
+
 def _cmd_solve(args) -> int:
     params = Params(args.dim, args.p, args.delta, args.omega)
     report = solve_ground_state(params, ShootingConfig(resolution=args.resolution))
-    tag = f"solve-N{args.dim}-p{args.p}-d{args.delta:g}-w{args.omega:g}"
-    root = _out_root(args) / tag
+    root = _out_root(args) / _tag(args)
     root.mkdir(parents=True, exist_ok=True)
     report.u.to_csv(root / "u.csv")
     report.v.to_csv(root / "v.csv")
@@ -134,11 +143,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    tag = args.tag or (f"sweep-N{args.dim}-p{args.p}-d{args.delta:g}")
-    tag = tag.replace("/", "_")
     plan = SweepPlan(dim=args.dim, p=args.p, delta=args.delta,
                      omegas=args.omega_ladder, resolution=args.resolution,
-                     with_spectra=args.spectra, jobs=args.jobs, tag=tag)
+                     with_spectra=args.spectra, jobs=args.jobs,
+                     tag=_tag(args))
     store = branch.run_sweep(plan)
     root = store.write(_out_root(args))
     n_fail = len(store.failures())
@@ -150,8 +158,7 @@ def _cmd_spectrum(args) -> int:
     params = Params(args.dim, args.p, args.delta, args.omega)
     report = solve_ground_state(params, ShootingConfig(resolution=args.resolution))
     sr = spectra.build_spectral_report(report)
-    tag = f"spectrum-N{args.dim}-p{args.p}-d{args.delta:g}-w{args.omega:g}"
-    root = _out_root(args) / tag.replace("/", "_")
+    root = _out_root(args) / _tag(args)
     root.mkdir(parents=True, exist_ok=True)
     (root / "spectrum.json").write_text(sr.to_json() + "\n")
     if args.json:

@@ -6,7 +6,8 @@ the energy E, and the variational level m_omega.
 Every integral is Simpson on the grid (taken in the uniform stretching
 parameter, so the weights keep fourth order) plus the moment of the fitted
 decay beyond R_max, which the law computes itself (params.Decay.moment and
-gradient_moment): nothing for an exponential tail, the closed form for a
+gradient_moment): nothing for an exponential tail, since make_grid puts
+R_max at least 15 decay lengths out by construction, the closed form for a
 power tail, or Divergent when that integral does not converge, which is how
 the low-dimension mass blow-up of the zero-mass limit shows up in practice.
 """
@@ -149,15 +150,13 @@ def _mass_term(d: ScalarDiagnostics, params: Params, what: str) -> float:
     return 0.5 * params.omega * d.mass
 
 
-def pohozaev_residual(u: RadialProfile, params: Params,
-                      diagnostics: Optional[ScalarDiagnostics] = None) -> float:
+def pohozaev_residual(d: ScalarDiagnostics, params: Params) -> float:
     """Relative residual of the Pohozaev identity, normalized by T.
 
     (N-2)/(2N) T + (N-2)/N delta Q_grad - P/(p+1) + omega/2 M = 0.
     In dimension 2 the gradient terms drop out; for omega = 0 the mass term
     is absent (it need not even be finite).
     """
-    d = diagnostics or compute_diagnostics(u, params)
     n = params.dim
     res = (n - 2) / (2.0 * n) * d.dirichlet \
         + (n - 2) / n * params.delta * d.quasi_grad \
@@ -165,22 +164,18 @@ def pohozaev_residual(u: RadialProfile, params: Params,
     return abs(res) / d.dirichlet
 
 
-def nehari_residual(u: RadialProfile, params: Params,
-                    diagnostics: Optional[ScalarDiagnostics] = None) -> float:
+def nehari_residual(d: ScalarDiagnostics, params: Params) -> float:
     """Relative residual of the Nehari identity, normalized by T.
 
     T/2 + 2 delta Q_grad - P/2 + omega/2 M = 0.
     """
-    d = diagnostics or compute_diagnostics(u, params)
     res = 0.5 * d.dirichlet + 2.0 * params.delta * d.quasi_grad \
         - 0.5 * d.potential + _mass_term(d, params, "Nehari")
     return abs(res) / d.dirichlet
 
 
-def critical_key_residual(u: RadialProfile, params: Params,
-                          diagnostics: Optional[ScalarDiagnostics] = None) -> float:
+def critical_key_residual(d: ScalarDiagnostics, params: Params) -> float:
     """Relative residual of delta Q_grad = omega M / (N-2) (critical p only)."""
-    d = diagnostics or compute_diagnostics(u, params)
     if d.mass is None:
         raise Divergent("critical key estimate needs a finite mass")
     lhs = params.delta * d.quasi_grad
@@ -214,10 +209,10 @@ def level_m_omega(d: ScalarDiagnostics, params: Params) -> float:
 # appendix property checks
 # ---------------------------------------------------------------------------
 
-def radial_decay_check(u: RadialProfile, s: float, dim: int,
-                       slack: float = 1e-9) -> bool:
+def radial_decay_check(u: RadialProfile, s: float, dim: int) -> bool:
     """Pointwise bound |u(x)| <= C_{N,s} |u|_{L^s} |x|^{-N/s} for radial
-    nonincreasing u, with C_{N,s} = (N / |S^{N-1}|)^{1/s}.
+    nonincreasing u, with C_{N,s} = (N / |S^{N-1}|)^{1/s}, up to a relative
+    slack of 1e-9.
 
     Returns False when u is not nonincreasing (the bound presumes it).
     """
@@ -227,7 +222,7 @@ def radial_decay_check(u: RadialProfile, s: float, dim: int,
     c = (dim / sphere_area(dim)) ** (1.0 / s)
     rho = u.grid.nodes[1:]
     bound = c * norm_s * rho ** (-dim / s)
-    return bool(np.all(np.abs(u.values[1:]) <= bound * (1.0 + slack)))
+    return bool(np.all(np.abs(u.values[1:]) <= bound * (1.0 + 1e-9)))
 
 
 def gn_ratio(u: RadialProfile, q: float, s: float, dim: int) -> float:
@@ -264,14 +259,13 @@ def gn_check(u: RadialProfile, q: float, s: float, dim: int,
     return bool(ratio <= constant)
 
 
-def moser_bound_check(heights: list[tuple[float, float]],
-                      transient_fraction: float = 0.3,
-                      slack: float = 1e-6) -> bool:
+def moser_bound_check(heights: list[tuple[float, float]]) -> bool:
     """Uniform sup-bound check for a family of dual-problem minimizers.
 
     `heights` holds (omega, sup-norm) pairs.  The family passes when every
-    sup-norm is finite and, past the transient head of the ladder, the
-    sup-norm does not increase as omega decreases.
+    sup-norm is finite and, past the transient head of the ladder (its
+    largest 30% of frequencies), the sup-norm does not increase as omega
+    decreases by more than 1e-6 relative.
     """
     if not heights:
         return False
@@ -279,6 +273,6 @@ def moser_bound_check(heights: list[tuple[float, float]],
     values = np.array([h for _, h in pairs], dtype=float)
     if not np.all(np.isfinite(values)):
         return False
-    start = int(len(values) * transient_fraction)
+    start = int(len(values) * 0.3)
     tail = values[start:]
-    return bool(np.all(np.diff(tail) <= slack * np.abs(tail[:-1])))
+    return bool(np.all(np.diff(tail) <= 1e-6 * np.abs(tail[:-1])))

@@ -135,7 +135,7 @@ class Params:
 
 @dataclass(frozen=True)
 class Regime:
-    """Sobolev regime tag plus the governing exponent thresholds.
+    """Sobolev and mass regime tags of p against the Params thresholds.
 
     The mass tag records the position of p relative to 1 + 4/N (below or
     equal: the mass curve increases near omega = 0) and 3 + 4/N (at or
@@ -144,9 +144,6 @@ class Regime:
 
     tag: str
     mass_tag: Optional[str]
-    sobolev_threshold: Optional[Fraction]
-    mass_threshold: Fraction
-    blowup_threshold: Fraction
 
     @property
     def is_critical(self) -> bool:
@@ -178,11 +175,10 @@ def classify(params: Params) -> Regime:
     Dimension 2 is always subcritical.  Criticality requires exact rational
     equality p = (N+2)/(N-2) (decimal inputs use a 1e-12 window).
     """
-    p_crit = params.p_critical()
     if params.dim == 2:
         tag = SUBCRITICAL
     else:
-        cmp = _compare_to_threshold(params, p_crit)
+        cmp = _compare_to_threshold(params, params.p_critical())
         tag = (SUBCRITICAL, CRITICAL, SUPERCRITICAL)[cmp + 1]
     mass_cmp = _compare_to_threshold(params, params.p_mass_critical())
     blowup_cmp = _compare_to_threshold(params, params.p_blowup())
@@ -192,23 +188,19 @@ def classify(params: Params) -> Regime:
         mass_tag = MASS_CRITICAL_PLUS
     else:
         mass_tag = None
-    return Regime(
-        tag=tag,
-        mass_tag=mass_tag,
-        sobolev_threshold=p_crit,
-        mass_threshold=params.p_mass_critical(),
-        blowup_threshold=params.p_blowup(),
-    )
+    return Regime(tag=tag, mass_tag=mass_tag)
 
 
 # ---------------------------------------------------------------------------
 # radial grids
 # ---------------------------------------------------------------------------
 
-#: outer radius rules: exponential tails need MIN_DECAY_LENGTHS decay
-#: lengths 1/sqrt(omega), beyond which they carry about e^{-30} of a moment;
-#: power tails need plain range
+#: grid lengths in units of the profile width ell = 1/sqrt(max(omega, 1)):
+#: the core and the least R_max; exponential tails also need
+#: MIN_DECAY_LENGTHS decay lengths 1/sqrt(omega), beyond which they carry
+#: about e^{-30} of a moment; power tails (omega = 0) need plain range
 R_CORE = 20.0
+R_OUTER = 50.0
 MIN_DECAY_LENGTHS = 15.0
 ZERO_MASS_R_MAX = 1000.0
 MIN_RESOLUTION = 64
@@ -255,39 +247,32 @@ class RadialGrid:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
 
-def make_grid(params: Params, resolution: int = 1024,
-              r_max: Optional[float] = None) -> RadialGrid:
-    """Build the radial grid for the frequency of `params`.
+def make_grid(params: Params, resolution: int) -> RadialGrid:
+    """Build the radial grid of `params` from one length scale.
 
-    R_max = max(50, 15/sqrt(omega)) for 0 < omega <= 1 and 1000 for
-    omega = 0; about 60% of the nodes land inside the core [0, min(R_max,
-    20)].  For omega > 1 the profile narrows like 1/sqrt(omega), so R_max
-    and the core shrink by that factor.  An explicit `r_max` must span 15
-    decay lengths 1/sqrt(omega) when omega > 0: the integrals drop the
-    exponential tail past R_max.  In the critical regime the solution
-    spreads over the blow-up length ~ omega^{-1/N}, so the core widens with
-    it: a fixed 20-unit core would leave the bubble under-resolved at very
-    small frequencies.
+    The profile width is ell = 1/sqrt(max(omega, 1)).  About 60% of the
+    nodes land inside the core [0, 20 ell], and R_max = max(50 ell,
+    15/sqrt(omega)), so R_max spans at least 15 decay lengths 1/sqrt(omega)
+    by construction: the integrals drop the exponential tail past R_max.
+    For omega = 0 the power tail needs plain range, R_max = ZERO_MASS_R_MAX
+    = 1000.  In the critical regime the solution spreads over the blow-up
+    length ~ omega^{-1/N}, so the core widens with it: a fixed core would
+    leave the bubble under-resolved at very small frequencies.  The
+    resolution is rounded up to a multiple of 4, so Simpson's rule sees an
+    even count on this grid and on the two halvings of the M' Richardson
+    levels (spectra.coarsen_profile).
     """
     omega = params.omega
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise InvalidParams(f"resolution must lie in "
                             f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
-    resolution = int(resolution) + (int(resolution) % 2)  # Simpson wants even
-    if r_max is None:
-        if omega > 1:
-            r_max = 50.0 / math.sqrt(omega)
-        elif omega > 0:
-            r_max = max(50.0, MIN_DECAY_LENGTHS / np.sqrt(omega))
-        else:
-            r_max = ZERO_MASS_R_MAX
-    elif omega > 0 and math.sqrt(omega) * r_max < MIN_DECAY_LENGTHS:
-        raise InvalidParams(
-            f"r_max = {r_max:g} spans fewer than {MIN_DECAY_LENGTHS:g} decay "
-            f"lengths 1/sqrt(omega) at omega = {omega:g}")
-    r_core = R_CORE / math.sqrt(omega) if omega > 1 else R_CORE
-    if omega > 0 and params.dim >= 3 and classify(params).is_critical:
-        r_core = max(r_core, 5.0 * omega ** (-1.0 / params.dim))
+    resolution = -(-int(resolution) // 4) * 4
+    inv_ell = math.sqrt(max(omega, 1.0))
+    r_core, r_max = R_CORE / inv_ell, ZERO_MASS_R_MAX
+    if omega > 0:
+        r_max = max(R_OUTER / inv_ell, MIN_DECAY_LENGTHS / math.sqrt(omega))
+        if params.dim >= 3 and classify(params).is_critical:
+            r_core = max(r_core, 5.0 * omega ** (-1.0 / params.dim))
     r_core = min(r_max, r_core)
     target = r_core / r_max
     if target >= CORE_NODE_FRACTION:          # nearly uniform domain
@@ -384,10 +369,10 @@ class Decay:
     def moment(self, k: float, r_from: float, j: float = 0.0) -> float:
         """|S^{N-1}| * int_{r_from}^inf rho^{N-1+j} v(rho)^k drho.
 
-        An exponential tail gives 0: grids put R_max at least 15 decay
-        lengths 1/rate out (make_grid), and what lies beyond carries about
-        e^{-30} of the moment.  A power tail gives the closed form, or
-        Divergent when the integral does not converge.
+        An exponential tail gives 0: make_grid puts R_max at least 15
+        decay lengths 1/rate out by construction, and what lies beyond
+        carries about e^{-30} of the moment.  A power tail gives the
+        closed form, or Divergent when the integral does not converge.
         """
         if self.rate > 0.0:
             return 0.0
@@ -433,16 +418,16 @@ class RadialProfile:
                 out = np.where(far, self.decay.value(np.maximum(rho, 1e-300)), out)
         return out if out.ndim else float(out)
 
-    def is_positive_decreasing(self, tol: float = 1e-10) -> bool:
-        """Positivity and monotone nonincrease up to `tol` * height.
+    def is_positive_decreasing(self) -> bool:
+        """Positivity and monotone nonincrease up to 1e-10 * height.
 
-        The default sits just above the integrator's 1e-11 relative
+        The slack sits just above the integrator's 1e-11 relative
         tolerance: profiles with very flat cores decrease by less than the
         integration noise between neighboring nodes.
         """
-        scale = abs(self.values[0]) if self.values.size else 1.0
-        positive = np.all(self.values > -tol * scale)
-        monotone = np.all(np.diff(self.values) <= tol * scale)
+        tol = 1e-10 * (abs(self.values[0]) if self.values.size else 1.0)
+        positive = np.all(self.values > -tol)
+        monotone = np.all(np.diff(self.values) <= tol)
         return bool(positive and monotone)
 
     # -- serialization ------------------------------------------------------

@@ -68,10 +68,10 @@ IDENTITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Grid resolution and an optional override of the outer radius."""
+    """The grid resolution; make_grid derives the rest of the grid from
+    Params."""
 
     resolution: int = 1024
-    r_max: Optional[float] = None
 
 
 def series_start(a: float, params: Params, r0) -> tuple:
@@ -416,7 +416,7 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
             raise NoGroundState(
                 "the zero-mass problem has solutions only for N >= 3 and "
                 "supercritical p")
-    grid = make_grid(params, cfg.resolution, r_max=cfg.r_max)
+    grid = make_grid(params, cfg.resolution)
     shooter = _Shooter(params, grid.r_max)
     lo, hi = shooter.find_height(guess)
     # phi(lo) >= 0: the final pass is lo's own trajectory, which does not
@@ -437,8 +437,8 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
                   if regime.is_critical else None)
         diag = replace(diag, m_omega=m_omega, m_star=m_star, delta_omega=(
             None if m_star is None else m_omega - m_star))
-    poh = integrals.pohozaev_residual(u_profile, params, diag)
-    neh = integrals.nehari_residual(u_profile, params, diag)
+    poh = integrals.pohozaev_residual(diag, params)
+    neh = integrals.nehari_residual(diag, params)
     return SolveReport(
         params=params, regime=regime, v=v_profile, u=u_profile,
         shooting_height=a, ode_residual=ode_res,

@@ -451,7 +451,7 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
+def build_spectral_report(solve_report) -> SpectralReport:
     """All spectral diagnostics for an accepted ground-state solve."""
     u, params = solve_report.u, solve_report.params
     d = solve_report.diagnostics
@@ -481,10 +481,10 @@ def build_spectral_report(solve_report, k: int = 6) -> SpectralReport:
     n_tot = n_rad + negative_count(op_p1, tol=kernel_tol)
     return SpectralReport(
         params=params,
-        eigs_lplus_radial=low_spectrum(op_p0, k),
-        eigs_lplus_ell1=low_spectrum(op_p1, k),
-        eigs_lminus_radial=low_spectrum(op_m0, k),
-        eigs_lminus_ell1=low_spectrum(op_m1, k),
+        eigs_lplus_radial=low_spectrum(op_p0),
+        eigs_lplus_ell1=low_spectrum(op_p1),
+        eigs_lminus_radial=low_spectrum(op_m0),
+        eigs_lminus_ell1=low_spectrum(op_m1),
         negative_count_radial=n_rad,
         negative_count_total=n_tot,
         kernel_tol=kernel_tol,

@@ -124,7 +124,7 @@ def test_criterion_1_identity_closure():
         assert rep.nehari_residual < 1e-6, (dim, p, delta, omega)
         worst = max(worst, rep.pohozaev_residual, rep.nehari_residual)
         if regime.is_critical and delta > 0:
-            key = critical_key_residual(rep.u, params, rep.diagnostics)
+            key = critical_key_residual(rep.diagnostics, params)
             assert key < 1e-6, (dim, p, delta, omega)
             worst_key = max(worst_key, key)
     assert regimes == {"subcritical", "critical", "supercritical"}
@@ -332,7 +332,7 @@ def test_criterion_7_supercritical_limits(super5_branch, super37_branch,
     t0 = time.time()
     plan5, store5 = super5_branch
     sup = supercritical_limit_check(store5.points(), u0_53,
-                                    plan5.params_at(2 ** -16), fit_count=11)
+                                    plan5.params_at(2 ** -16))
     assert sup["mass_limit_rel_err"] < 0.02
     assert sup["omega_mass_to_zero_monotone"]
     assert sup["mprime_all_negative"]

@@ -42,6 +42,12 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regime"] == "critical"
 
+    def test_fractional_p_tag_is_one_directory(self, tmp_path, capsys):
+        code = main(["solve", "--dim", "3", "--p", "7/3", "--delta", "1",
+                     "--omega", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "solve-N3-p7_3-d1-w1" / "solve.json").exists()
+
     def test_existence_bound_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--dim", "3", "--p", "11", "--delta", "1",
                      "--omega", "1", "--out", str(tmp_path)])

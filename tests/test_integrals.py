@@ -95,8 +95,8 @@ class TestIdentities:
     def test_ground_state_closure(self, nls33, crit3):
         for rep in (nls33, crit3):
             d = rep.diagnostics
-            assert pohozaev_residual(rep.u, rep.params, d) < 1e-6
-            assert nehari_residual(rep.u, rep.params, d) < 1e-6
+            assert pohozaev_residual(d, rep.params) < 1e-6
+            assert nehari_residual(d, rep.params) < 1e-6
 
     def test_perturbed_profile_fails(self, nls33):
         # negative control: a 1% multiplicative bump breaks the identities
@@ -108,11 +108,11 @@ class TestIdentities:
             grid=u.grid, values=u.values * bump,
             derivative_values=u.derivative_values * bump + u.values * dbump,
             decay=u.decay)
-        assert pohozaev_residual(perturbed, nls33.params) > 1e-3
+        d = compute_diagnostics(perturbed, nls33.params)
+        assert pohozaev_residual(d, nls33.params) > 1e-3
 
     def test_critical_key_estimate(self, crit3):
-        assert critical_key_residual(crit3.u, crit3.params,
-                                     crit3.diagnostics) < 1e-6
+        assert critical_key_residual(crit3.diagnostics, crit3.params) < 1e-6
 
     def test_beta_identity(self, super53, crit3):
         # ((3N+2)/(N-2) - p) beta / (p+1) = 1 + (N+2)/(N-2) omega M / T

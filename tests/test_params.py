@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 from dataclasses import fields
@@ -11,8 +12,10 @@ from scipy.special import iv
 from qground.params import (CRITICAL, DECAY_EXPONENTIAL, DECAY_POWER,
                             MASS_CRITICAL_PLUS,
                             MASS_SUBCRITICAL, MAX_RESOLUTION, SUBCRITICAL,
-                            SUPERCRITICAL, Decay, Params, classify, make_grid,
-                            sphere_area)
+                            SUPERCRITICAL, Decay, Params, RadialProfile,
+                            classify, make_grid, sphere_area)
+from qground.shooting import ShootingConfig
+from qground.spectra import coarsen_profile
 
 
 class TestClassify:
@@ -54,10 +57,10 @@ class TestClassify:
         assert classify(Params(2, 5, 1.0, 1.0)).mass_tag == MASS_CRITICAL_PLUS
 
     def test_thresholds_are_rational(self):
-        regime = classify(Params(3, 2, 1.0, 1.0))
-        assert regime.sobolev_threshold == Fraction(5)
-        assert regime.mass_threshold == Fraction(7, 3)
-        assert regime.blowup_threshold == Fraction(13, 3)
+        params = Params(3, 2, 1.0, 1.0)
+        assert params.p_critical() == Fraction(5)
+        assert params.p_mass_critical() == Fraction(7, 3)
+        assert params.p_blowup() == Fraction(13, 3)
 
     def test_basic_invariants(self):
         with pytest.raises(InvalidParams):
@@ -80,9 +83,9 @@ class TestClassify:
             Params(3, p, delta, omega)
 
 
-def _grid(omega, resolution, **kwargs):
+def _grid(omega, resolution):
     """The grid of the (non-critical) cubic problem in 3D at omega."""
-    return make_grid(Params(3, 3, 1.0, omega), resolution, **kwargs)
+    return make_grid(Params(3, 3, 1.0, omega), resolution)
 
 
 class TestGrid:
@@ -98,13 +101,25 @@ class TestGrid:
         assert narrow.r_max == 12.5
         assert np.allclose(narrow.nodes, unit.nodes / 4.0, rtol=1e-9)
 
-    def test_short_r_max_rejected(self):
-        # the integrals drop the exponential tail past R_max, which needs
-        # R_max to span 15 decay lengths 1/sqrt(omega)
-        assert _grid(0.25, 256, r_max=30.0).r_max == 30.0
-        with pytest.raises(InvalidParams, match="decay lengths"):
-            _grid(0.25, 256, r_max=29.0)
-        assert _grid(0.0, 256, r_max=29.0).r_max == 29.0
+    def test_grid_comes_from_params_alone(self):
+        # no caller overrides R_max: it spans 15 decay lengths by
+        # construction, and a second route to it would bypass that
+        assert list(inspect.signature(make_grid).parameters) \
+            == ["params", "resolution"]
+        assert [f.name for f in fields(ShootingConfig)] == ["resolution"]
+
+    def test_resolution_rounds_up_to_a_multiple_of_four(self):
+        # the M' Richardson levels halve the grid twice; every level must
+        # keep its last node at R_max
+        assert _grid(1.0, 1024).resolution == 1024
+        assert _grid(1.0, 2048).resolution == 2048
+        grid = _grid(1.0, 1026)
+        assert grid.resolution == 1028
+        zeros = np.zeros_like(grid.nodes)
+        coarse = coarsen_profile(coarsen_profile(
+            RadialProfile(grid=grid, values=zeros, derivative_values=zeros)))
+        assert coarse.grid.resolution == 257
+        assert coarse.grid.nodes[-1] == coarse.grid.r_max == grid.r_max
 
     def test_structure(self):
         grid = _grid(1.0, 1024)

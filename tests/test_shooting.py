@@ -10,8 +10,8 @@ from qground.errors import (BracketFailure, ConstraintViolated, InvalidParams,
                             NoConvergence, NoGroundState)
 from qground.params import Params
 from qground import shooting
-from qground.shooting import (ShootingConfig, _Shooter, nls_ground_state,
-                              series_start, solve_ground_state)
+from qground.shooting import (_Shooter, nls_ground_state, series_start,
+                              solve_ground_state)
 from qground.transform import f_omega_u, h, r
 
 # frozen oracle values from tests/oracle.py (independent Radau shooting at
@@ -381,12 +381,13 @@ class TestZeroMass:
         assert zero_mass53.nehari_residual < 1e-6
         assert zero_mass53.diagnostics.mass is not None  # N = 5: finite mass
 
-    def test_r_max_convergence_study(self):
+    def test_r_max_convergence_study(self, monkeypatch):
         # halving/doubling R_max moves the mass by < 1e-6 relative
         masses = {}
         for r_max in (500.0, 1000.0, 2000.0):
-            rep = solve_ground_state(Params(5, 3, 1.0, 0.0),
-                                     ShootingConfig(r_max=r_max))
+            monkeypatch.setattr("qground.params.ZERO_MASS_R_MAX", r_max)
+            rep = solve_ground_state(Params(5, 3, 1.0, 0.0))
+            assert rep.u.grid.r_max == r_max
             masses[r_max] = rep.diagnostics.mass
         base = masses[1000.0]
         assert abs(masses[500.0] - base) / base < 1e-6
