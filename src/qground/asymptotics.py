@@ -50,7 +50,6 @@ class MassCurvePoint:
     energy: float
     m_omega: Optional[float]
     lambda_omega: Optional[float]
-    regime: str
 
     def mprime_agreement(self) -> Optional[float]:
         if self.mprime_fd is None or self.mprime_res is None:
@@ -262,8 +261,7 @@ def subcritical_expansion_check(points: Sequence[MassCurvePoint],
     c(N,p) * delta * |grad(Q^2)|_2^2.  Returns fitted and predicted
     values plus relative errors.
     """
-    regime = classify(params.with_omega(1.0))
-    if not regime.is_subcritical:
+    if not classify(params).is_subcritical:
         raise RegimeMismatch("subcritical expansion needs the subcritical regime")
     pts = sorted_points(points)
     n, p = params.dim, params.p
@@ -319,8 +317,7 @@ def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
     model is meaningful since both miss the crossover.  Also checks M' < 0 with |M'| increasing toward
     omega = 0, and the decrease of omega * lambda^2 along the ladder.
     """
-    regime = classify(params.with_omega(1.0))
-    if not regime.is_critical:
+    if not classify(params).is_critical:
         raise RegimeMismatch("critical scaling needs the critical regime")
     pts = sorted_points(points)
     w = np.array([q.omega for q in pts])
@@ -370,8 +367,7 @@ def supercritical_limit_check(points: Sequence[MassCurvePoint], u0_report,
     trend (negative, growing in magnitude) is checked on the asymptotic
     window of the 11 smallest frequencies.
     """
-    regime = classify(params.with_omega(1.0))
-    if not regime.is_supercritical:
+    if not classify(params).is_supercritical:
         raise RegimeMismatch("supercritical limits need the supercritical regime")
     pts = sorted_points(points)
     w = np.array([q.omega for q in pts])
@@ -414,7 +410,7 @@ def energy_limit_check(points: Sequence[MassCurvePoint], params: Params,
     subcritical -> 0, critical -> |grad U|_2^2 / N = m_*^{N/2} / N,
     supercritical -> 2 |grad u_0|_2^2 / ((3N+2) - p(N-2)).
     """
-    regime = classify(params.with_omega(1.0))
+    regime = classify(params)
     pts = sorted_points(points)
     energies = np.array([q.energy for q in pts])
     out: dict = {"energy_identity_residuals": energy_identity_residuals(points)}

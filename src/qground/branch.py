@@ -5,9 +5,9 @@ A sweep walks a geometric omega ladder downward.  Each new point seeds its
 shooting bracket from the last height that solved through the NLS scaling
 law mapped through the transform (exact for delta = 0, a good first guess
 otherwise).  With jobs > 1 the ladder is cut into contiguous chunks, each
-walked the same way in its own process.  Results land in a store keyed
-by (N, p, delta, omega, resolution).  Persistence is CSV plus JSON sidecars
-and is byte-deterministic for a fixed plan.
+walked the same way in its own process.  Records stay in ladder order; a
+failed point (a failed gate included) seeds no warm start.  Persistence is
+CSV plus JSON sidecars and is byte-deterministic for a fixed plan.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from typing import Optional, Sequence, Union
 from . import spectra, transform
 from .asymptotics import (MassCurvePoint, energy_identity_residuals,
                           extract_lambda, ladder_derivative)
-from .errors import (ConstraintViolated, InsufficientNeighbors, InvalidParams,
-                     QGroundError)
-from .params import Params, classify
+from .errors import ConstraintViolated, InvalidParams, QGroundError
+from .params import Params
 from .shooting import ShootingConfig, SolveReport, solve_ground_state
 
 CSV_COLUMNS = ["omega", "M", "Mprime_fd", "Mprime_res", "T", "beta",
@@ -50,7 +49,6 @@ class SweepPlan:
     omegas: tuple[float, ...]
     resolution: int = 1024
     with_spectra: bool = False
-    keep_reports: bool = True
     jobs: int = 1
     tag: str = "run"
 
@@ -80,40 +78,40 @@ def geometric_ladder(start: float, stop: float, ratio: float) -> tuple[float, ..
 
 @dataclass
 class PointRecord:
-    key: tuple
     point: MassCurvePoint
-    accepted: bool
     failure: Optional[str] = None
     report: Optional[SolveReport] = None
     spectral: Optional[spectra.SpectralReport] = None
 
+    @property
+    def accepted(self) -> bool:
+        """The point solved: solve_ground_state returns accepted reports."""
+        return self.report is not None
+
 
 class BranchStore:
-    """Record of computed branch points, keyed by
-    (N, p, delta, omega, resolution)."""
+    """One plan's records in ladder order, largest omega first."""
 
-    def __init__(self, plan: SweepPlan):
+    def __init__(self, plan: SweepPlan, records: Sequence[PointRecord]):
         self.plan = plan
-        self._records: dict[tuple, PointRecord] = {}
+        self._records = list(records)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def insert(self, record: PointRecord) -> None:
-        self._records[record.key] = record
-
     def records(self) -> list[PointRecord]:
-        return sorted(self._records.values(), key=lambda r: -r.point.omega)
+        return self._records
 
     def points(self) -> list[MassCurvePoint]:
-        """The accepted points, largest omega first."""
-        return [r.point for r in self.records() if r.accepted]
+        """The solved points, largest omega first."""
+        return [r.point for r in self._records if r.accepted]
 
     def reports(self) -> list[SolveReport]:
-        return [r.report for r in self.records() if r.report is not None]
+        return [r.report for r in self._records if r.accepted]
 
-    def failures(self) -> list[tuple[tuple, str]]:
-        return [(r.key, r.failure) for r in self.records() if r.failure]
+    def failures(self) -> list[tuple[float, str]]:
+        """(omega, message) of every point that failed."""
+        return [(r.point.omega, r.failure) for r in self._records if r.failure]
 
     # -- persistence --------------------------------------------------------
 
@@ -163,7 +161,7 @@ class BranchStore:
                         dirichlet=float(row["T"]), beta=float(row["beta"]),
                         quasi_grad=float(row["Qgrad"]),
                         energy=float(row["E"]), m_omega=val(row["m_omega"]),
-                        lambda_omega=val(row["lambda"]), regime=""))
+                        lambda_omega=val(row["lambda"])))
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             raise InvalidParams(f"cannot read branch CSV {path}: "
                                 f"{type(exc).__name__}: {exc}") from exc
@@ -182,9 +180,7 @@ def compute_point(params: Params, resolution: int = 1024,
                   guess: Optional[float] = None,
                   with_spectra: bool = False) -> PointRecord:
     """Solve one branch point and package it as a record (never raises for
-    solver failures: they are recorded instead)."""
-    key = (params.dim, params.p, params.delta, params.omega, resolution)
-    regime = classify(params)
+    solver failures, a failed gate included: they are recorded instead)."""
     try:
         report = solve_ground_state(
             params, ShootingConfig(resolution=resolution), guess=guess)
@@ -192,9 +188,8 @@ def compute_point(params: Params, resolution: int = 1024,
         empty = MassCurvePoint(
             omega=params.omega, mass=None, mprime_fd=None, mprime_res=None,
             dirichlet=math.nan, beta=math.nan, quasi_grad=math.nan,
-            energy=math.nan, m_omega=None, lambda_omega=None, regime=regime.tag)
-        return PointRecord(key=key, point=empty, accepted=False,
-                           failure=f"{type(exc).__name__}: {exc}")
+            energy=math.nan, m_omega=None, lambda_omega=None)
+        return PointRecord(point=empty, failure=f"{type(exc).__name__}: {exc}")
 
     spectral = None
     mprime_res = None
@@ -208,17 +203,14 @@ def compute_point(params: Params, resolution: int = 1024,
                 mprime_res = spectra.mprime_resolvent(report.u, params).primal
         except QGroundError as exc:
             failure = f"{type(exc).__name__}: {exc}"
-    lam = None
-    if regime.is_critical:
-        lam = extract_lambda(report.u, params)
     d = report.diagnostics
     point = MassCurvePoint(
         omega=params.omega, mass=d.mass, mprime_fd=None,
         mprime_res=mprime_res, dirichlet=d.dirichlet, beta=d.beta,
         quasi_grad=d.quasi_grad, energy=d.energy, m_omega=d.m_omega,
-        lambda_omega=lam, regime=regime.tag)
-    return PointRecord(key=key, point=point, accepted=bool(report.accepted()),
-                       failure=failure, report=report, spectral=spectral)
+        lambda_omega=(extract_lambda(report.u, params)
+                      if report.regime.is_critical else None))
+    return PointRecord(point, failure, report, spectral)
 
 
 def _walk(plan: SweepPlan, omegas: Sequence[float]) -> list[PointRecord]:
@@ -232,10 +224,8 @@ def _walk(plan: SweepPlan, omegas: Sequence[float]) -> list[PointRecord]:
         if last is not None:
             guess = scaled_height_guess(last[1], last[0], w, params)
         rec = compute_point(params, plan.resolution, guess, plan.with_spectra)
-        if rec.report is not None:
+        if rec.accepted:
             last = (rec.point.omega, rec.report.shooting_height)
-        if not plan.keep_reports:
-            rec.report = None
         records.append(rec)
     return records
 
@@ -246,9 +236,9 @@ def run_sweep(plan: SweepPlan) -> BranchStore:
     The ladder is cut into min(jobs, len(omegas)) contiguous chunks, fixed
     by the ladder length and the job count alone.  One chunk is walked in
     this process; several are walked in a process pool, each from a cold
-    first point.  A rerun at the same job count is byte-identical.
+    first point, and pool.map keeps them in ladder order.  A rerun at the
+    same job count is byte-identical.
     """
-    store = BranchStore(plan)
     omegas = plan.omegas
     chunks = min(plan.jobs, len(omegas))
     if chunks <= 1:
@@ -259,25 +249,19 @@ def run_sweep(plan: SweepPlan) -> BranchStore:
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             records = [rec for part in pool.map(_walk, [plan] * chunks, parts)
                        for rec in part]
-    for rec in records:
-        store.insert(rec)
+    store = BranchStore(plan, records)
     _fill_mprime_fd(store)
     return store
 
 
 def _fill_mprime_fd(store: BranchStore) -> None:
-    recs = [r for r in store.records() if r.accepted and r.point.mass is not None]
-    if len(recs) < 3:
-        return
-    recs = sorted(recs, key=lambda r: r.point.omega)
+    recs = [r for r in reversed(store.records())   # omega increasing
+            if r.accepted and r.point.mass is not None]
     omegas = [r.point.omega for r in recs]
     masses = [r.point.mass for r in recs]
-    for i, rec in enumerate(recs):
-        try:
-            fd = ladder_derivative(omegas, masses, i)
-        except InsufficientNeighbors:
-            continue
-        rec.point = replace(rec.point, mprime_fd=fd)
+    for i in range(1, len(recs) - 1):   # the end points have no stencil
+        fd = ladder_derivative(omegas, masses, i)
+        recs[i].point = replace(recs[i].point, mprime_fd=fd)
 
 
 def energy_identity_check(params: Params, resolution: int = 1024) -> float:
@@ -288,18 +272,18 @@ def energy_identity_check(params: Params, resolution: int = 1024) -> float:
     production branches use ratio 1/2, too coarse for differencing the
     energy (E ~ omega^{3/2} in the subcritical regime makes the stencil
     bias a few percent there); at ratio 0.95 the bias is ~1e-6.  Raises
-    ConstraintViolated when a point of the local ladder is not accepted.
+    ConstraintViolated when a point of the local ladder does not solve.
     """
     p = params.p_exact if params.p_exact is not None else params.p
     plan = SweepPlan(params.dim, p, params.delta,
                      tuple(params.omega * 0.95 ** k for k in range(-2, 3)),
-                     resolution=resolution, keep_reports=False)
+                     resolution=resolution)
     store = run_sweep(plan)
     for rec in store.records():
         if not rec.accepted:
             raise ConstraintViolated(
                 f"energy identity stencil point omega={rec.point.omega!r} "
-                f"not accepted: {rec.failure or 'failed the acceptance gates'}")
+                f"not accepted: {rec.failure}")
     return energy_identity_residuals(store.points())[1]
 
 

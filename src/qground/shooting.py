@@ -132,10 +132,13 @@ class _Shooter:
         """The trajectory of height a, from START_RADIUS to the exit radius
         or the first crossing or turn; `dense` keeps its interpolant."""
         y0 = series_start(a, self.params, START_RADIUS)
-        return solve_ivp(
-            self.rhs, (START_RADIUS, self.r_exit), y0, method="DOP853",
-            rtol=ODE_RTOL, atol=ODE_ATOL_REL * a, events=self.events,
-            dense_output=dense)
+        try:
+            return solve_ivp(
+                self.rhs, (START_RADIUS, self.r_exit), y0, method="DOP853",
+                rtol=ODE_RTOL, atol=ODE_ATOL_REL * a, events=self.events,
+                dense_output=dense)
+        except OverflowError as exc:
+            raise BracketFailure(f"height {a!r} overflows the RHS") from exc
 
     def monitor(self, a: float) -> float:
         """phi(a): the growing far-field coefficient B of the exit state,
@@ -148,6 +151,10 @@ class _Shooter:
     # -- the height root-find -----------------------------------------------
 
     def initial_bracket(self, guess: Optional[float]) -> tuple[float, float]:
+        # the ODE's absolute tolerance, ODE_ATOL_REL a, must be a normal double
+        if self.params.omega > 0 and not (
+                ODE_ATOL_REL * self.s_star >= np.finfo(float).tiny):
+            raise BracketFailure(f"s* = {self.s_star!r} underflows the ODE")
         if guess is not None:
             # the NLS scaling law is exact at delta = 0, a few percent off
             # otherwise; expand_bracket repairs a one-sided guess
@@ -271,10 +278,15 @@ class SolveReport:
     tail_rate_fit: float
     bracket: tuple[float, float]
 
+    def gates(self) -> list[tuple[str, float, float]]:
+        """(name, residual, tolerance); a gate passes below its tolerance."""
+        return [("ODE", self.ode_residual, 1e-6 * abs(self.shooting_height)),
+                ("Pohozaev", self.pohozaev_residual, IDENTITY_TOL),
+                ("Nehari", self.nehari_residual, IDENTITY_TOL)]
+
     def accepted(self) -> bool:
-        return bool(self.ode_residual < 1e-6 * abs(self.shooting_height)
-                    and self.pohozaev_residual < IDENTITY_TOL
-                    and self.nehari_residual < IDENTITY_TOL)
+        """Every gate passes, as on each report solve_ground_state returns."""
+        return all(res < tol for _, res, tol in self.gates())
 
     def to_json_dict(self) -> dict:
         d = {
@@ -315,6 +327,8 @@ def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
     series = nodes < START_RADIUS
     u[series], vp[series] = series_start(a, params, nodes[series])
     inner = (nodes >= START_RADIUS) & (nodes <= decay.match_radius)
+    if not inner.any():
+        raise ConstraintViolated("no grid node lies inside the match radius")
     u[inner], vp[inner] = sol.sol(nodes[inner])
     outer = nodes > decay.match_radius
     v[outer] = decay.value(nodes[outer])
@@ -385,6 +399,8 @@ def _equivalence_residual(params: Params, v: RadialProfile,
     nodes = v.grid.nodes[1:]
     vv, vp, uu = v.values[1:], v.derivative_values[1:], u.values[1:]
     keep = vv > 1e-7 * abs(v.values[0])
+    if not keep.any():
+        raise ConstraintViolated("no grid node lies above 1e-7 of the height")
     nodes, vp, uu = nodes[keep], vp[keep], uu[keep]
     vpp = -(params.dim - 1) / nodes * vp - transform.f_omega_u(uu, params)
     hp = transform.h_prime(uu, params)
@@ -405,17 +421,21 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
                        guess: Optional[float] = None) -> SolveReport:
     """Compute the unique positive radial decreasing ground state.
 
-    For omega = 0 the zero-mass problem requires N >= 3 and supercritical p
-    (otherwise NoGroundState).  `guess` warm-starts the bracket around a
-    known nearby height.
+    The report is accepted: a solve that fails its ODE, Pohozaev or
+    Nehari gate raises ConstraintViolated naming each failed gate.  With
+    omega = 0 (zero mass) N >= 3 and supercritical p are required, and with
+    delta = 0 (NLS) and N >= 3 subcritical p (Pohozaev); otherwise
+    NoGroundState, before any integration.  `guess` warm-starts the
+    bracket around a known nearby height.
     """
     cfg = cfg or ShootingConfig()
     regime = classify(params)
-    if params.omega == 0.0:
-        if params.dim < 3 or not regime.is_supercritical:
-            raise NoGroundState(
-                "the zero-mass problem has solutions only for N >= 3 and "
-                "supercritical p")
+    if params.omega == 0 and (params.dim < 3 or not regime.is_supercritical):
+        raise NoGroundState("the zero-mass problem has solutions only for "
+                            "N >= 3 and supercritical p")
+    if params.delta == 0.0 and params.dim >= 3 and not regime.is_subcritical:
+        raise NoGroundState("the NLS (delta = 0) has ground states only for "
+                            "p < (N+2)/(N-2) when N >= 3")
     grid = make_grid(params, cfg.resolution)
     shooter = _Shooter(params, grid.r_max)
     lo, hi = shooter.find_height(guess)
@@ -439,13 +459,18 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
             None if m_star is None else m_omega - m_star))
     poh = integrals.pohozaev_residual(diag, params)
     neh = integrals.nehari_residual(diag, params)
-    return SolveReport(
+    report = SolveReport(
         params=params, regime=regime, v=v_profile, u=u_profile,
         shooting_height=a, ode_residual=ode_res,
         equivalence_residual=equiv_res, pohozaev_residual=poh,
         nehari_residual=neh, diagnostics=diag,
         iterations=shooter.integrations, tail_rate_fit=rate_fit,
         bracket=(lo, hi))
+    if not report.accepted():
+        raise ConstraintViolated("the solve fails its gates: " + ", ".join(
+            f"{name} residual {res:.3g} against {tol:.3g}"
+            for name, res, tol in report.gates() if not res < tol))
+    return report
 
 
 _NLS_CACHE: dict = {}

@@ -68,11 +68,7 @@ class DiscreteOperator:
     form <x, L y> on R^N.
     """
 
-    kind: str
-    ell: int
     start: int
-    dim: int
-    nodes: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     weights: np.ndarray
@@ -174,9 +170,7 @@ def assemble(u: RadialProfile, params: Params, ell: int = 0,
             cell_int = (hi_face ** (n - 2) - lo_face ** (n - 2)) / (n - 2)
         diag += ell * (ell + n - 2.0) * area * a_node[idx] * cell_int
     off = -flux[idx[:-1]]
-    return DiscreteOperator(kind=kind, ell=ell, start=start, dim=n,
-                            nodes=nodes[idx], diag=diag, off=off,
-                            weights=weights)
+    return DiscreteOperator(start=start, diag=diag, off=off, weights=weights)
 
 
 def negative_count(op: DiscreteOperator, tol: float = 0.0) -> int:

@@ -134,7 +134,7 @@ def _synthetic_branch(masses_energies):
         pts.append(MassCurvePoint(
             omega=omega, mass=mass, mprime_fd=None, mprime_res=None,
             dirichlet=1.0, beta=1.0, quasi_grad=1.0, energy=energy,
-            m_omega=None, lambda_omega=None, regime="subcritical"))
+            m_omega=None, lambda_omega=None))
     return pts
 
 
@@ -179,7 +179,7 @@ class TestRegimeGuards:
             pts.append(MassCurvePoint(
                 omega=2.0 ** -k, mass=1.0, mprime_fd=None, mprime_res=-1.0,
                 dirichlet=1.0, beta=1.0, quasi_grad=1.0, energy=0.0,
-                m_omega=6.0, lambda_omega=1.0, regime="critical"))
+                m_omega=6.0, lambda_omega=1.0))
         with pytest.raises(InsufficientWindow):
             critical_scaling_report(pts, Params(3, 5, 1.0, 0.5))
 

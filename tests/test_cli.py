@@ -86,6 +86,15 @@ class TestSolveCommand:
         assert err.startswith("error: ")
         assert "does not change sign" in err
 
+    def test_failed_gate_is_exit_three(self, tmp_path, capsys):
+        # N = 2, p = 47/4 at resolution 1024 misses the Nehari gate: no
+        # profile is written
+        code = main(["solve", "--dim", "2", "--p", "47/4", "--delta", "1",
+                     "--omega", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "Nehari residual" in capsys.readouterr().err
+        assert not (tmp_path / "solve-N2-p47_4-d1-w1").exists()
+
     def test_unwritable_out_is_exit_two(self, tmp_path, capsys):
         # --out names a file, so the output directory cannot be made
         blocker = tmp_path / "file"
@@ -110,6 +119,16 @@ class TestSweepCommand:
         assert (tmp_path / "demo" / "points" / "1.json").exists()
         assert main(args) == 0
         assert branch.read_bytes() == first
+
+    def test_failed_gates_are_sweep_failures(self, tmp_path, capsys):
+        code = main(["sweep", "--dim", "2", "--p", "47/4", "--delta", "1",
+                     "--omega-ladder", "1:0.25:0.5", "--out", str(tmp_path),
+                     "--tag", "gates"])
+        assert code == 1
+        assert "(3 failures)" in capsys.readouterr().out
+        rows = (tmp_path / "gates" / "branch.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[1:] == ["nan"] * 9 for row in rows)
 
     def test_env_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QG_OUT_DIR", str(tmp_path / "envroot"))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -337,6 +338,45 @@ class TestDualState:
         with pytest.raises(BracketFailure, match="does not change sign"):
             solve_ground_state(Params(*case))
 
+    def test_failed_gate_raises(self):
+        # N = 2, p = 5 is limited by quadrature at resolution 1024: the
+        # Nehari residual falls from 8.8e-6 to 5.4e-7 at 2048.  Only the
+        # failed gates are named
+        params = Params(2, 5, 0.0, 1.0)
+        with pytest.raises(ConstraintViolated, match="Nehari residual") as info:
+            solve_ground_state(params)
+        assert "ODE" not in str(info.value)
+        rep = solve_ground_state(params, shooting.ShootingConfig(2048))
+        assert rep.accepted()
+
+    @pytest.mark.parametrize("p", [Fraction(47, 4), 11])
+    def test_overflowing_trajectory_is_a_typed_error(self, p):
+        # the cold bracket's top, 10 s*, overflows |u|^{p-1} in the RHS
+        with pytest.raises(BracketFailure, match="overflows"):
+            solve_ground_state(Params(2, p, 0.0, 1.0))
+
+    def test_underflowing_height_is_a_typed_error(self):
+        # s* ~ omega^{1/(p-1)} = omega^128 underflows to 0, where the ODE's
+        # absolute tolerance vanishes and an integration never ends
+        with pytest.raises(BracketFailure, match="underflows"):
+            solve_ground_state(Params(8, Fraction(129, 128), 0.0, 1e-8))
+
+    def test_profile_inside_one_cell_is_a_typed_error(self):
+        # supercritical at small delta: the profile falls to 1e-5 of its
+        # height by rho = 0.054, inside the first cell at resolution 256
+        with pytest.raises(ConstraintViolated, match="match radius"):
+            solve_ground_state(Params(6, Fraction(235, 48), 0.0087, 0.24),
+                               shooting.ShootingConfig(256))
+
+    def test_unresolved_profile_is_a_typed_error(self, nls33):
+        # no node past the origin above 1e-7 of the height: nothing left
+        # for the equivalence residual to measure
+        v = nls33.v
+        scale = np.where(v.grid.nodes > 0, 1e-8, 1.0)
+        flat = replace(v, values=scale * v.values)
+        with pytest.raises(ConstraintViolated, match="1e-7"):
+            shooting._equivalence_residual(nls33.params, flat, nls33.u)
+
     def test_cold_solves_within_sixteen_integrations(self, nls33, townes,
                                                      crit3, sub32, super53):
         for rep in (nls33, townes, crit3, sub32, super53):
@@ -365,6 +405,21 @@ class TestZeroMass:
             solve_ground_state(Params(3, 5, 1.0, 0.0))  # critical: no solution
         with pytest.raises(NoGroundState):
             solve_ground_state(Params(2, 3, 1.0, 0.0))
+
+    @pytest.mark.parametrize("case", [(7, 2, 0.0, 1.0),
+                                      (6, 3, 0.0, 2.0 ** -4),
+                                      (7, Fraction(9, 5), 0.0, 1.0),
+                                      (5, 3, 0.0, 0.0)])
+    def test_nls_beyond_sobolev_has_no_ground_state(self, monkeypatch, case):
+        # Pohozaev: delta = 0 and p >= (N+2)/(N-2) admit no ground state,
+        # which is decided before any grid is built or trajectory integrated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated or built a grid")
+
+        monkeypatch.setattr(shooting, "solve_ivp", forbidden)
+        monkeypatch.setattr(shooting, "make_grid", forbidden)
+        with pytest.raises(NoGroundState, match="delta = 0"):
+            solve_ground_state(Params(*case))
 
     def test_power_tail(self):
         rep = solve_ground_state(Params(3, 7, 1.0, 0.0))

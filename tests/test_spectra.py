@@ -43,7 +43,7 @@ class TestAssembly:
         op0 = assemble(nls33.u, nls33.params, ell=0, kind="L-")
         op1 = assemble(nls33.u, nls33.params, ell=1, kind="L-")
         i = 200   # a mid-grid node, same index offset by start
-        rho = op1.nodes[i]
+        rho = nls33.u.grid.nodes[op1.start + i]
         added = (op1.diag[i] - op0.diag[i + 1]) / op1.weights[i]
         assert added == pytest.approx(2.0 / rho ** 2, rel=1e-3)
 
