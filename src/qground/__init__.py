@@ -22,17 +22,16 @@ from .errors import (AmbiguousTrajectory, BracketFailure, ConstraintViolated,
                      NoConvergence, NoGroundState, QGroundError,
                      RegimeMismatch)
 from .integrals import (ScalarDiagnostics, compute_diagnostics,
-                        critical_key_residual, gn_check, gn_ratio,
-                        integrate_radial, level_m_omega, moser_bound_check,
-                        nehari_residual, pohozaev_residual,
-                        radial_decay_check, sobolev_constant)
+                        dual_pohozaev_residual, integrate_radial,
+                        level_m_omega, nehari_residual, pohozaev_residual,
+                        sobolev_constant)
 from .params import (Decay, Params, RadialGrid, RadialProfile, Regime,
                      classify, make_grid)
 from .shooting import (ShootingConfig, SolveReport, nls_ground_state,
                        series_start, solve_ground_state)
 from .spectra import (DiscreteOperator, MatrixL, SpectralReport, assemble,
                       build_spectral_report, low_spectrum, matrix_l,
-                      mprime_resolvent, mprime_sign_window, negative_count)
+                      mprime_resolvent, negative_count)
 from .transform import h, r, s_star
 
 __version__ = "0.1.0"

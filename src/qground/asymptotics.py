@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (InsufficientNeighbors, InsufficientWindow,
                      InvalidParams, RegimeMismatch)
 from .integrals import sobolev_constant
-from .params import Decay, Params, RadialGrid, RadialProfile, classify
+from .params import Params, RadialProfile, classify
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +50,6 @@ class MassCurvePoint:
     energy: float
     m_omega: Optional[float]
     lambda_omega: Optional[float]
-
-    def mprime_agreement(self) -> Optional[float]:
-        if self.mprime_fd is None or self.mprime_res is None:
-            return None
-        scale = max(abs(self.mprime_fd), abs(self.mprime_res), 1e-300)
-        return abs(self.mprime_fd - self.mprime_res) / scale
 
 
 def sorted_points(points: Sequence[MassCurvePoint]) -> list[MassCurvePoint]:
@@ -220,14 +214,6 @@ class AubinTalenti:
         rho = np.asarray(rho, dtype=float)
         out = -(rho / n) * (1.0 + rho ** 2 / (n * (n - 2.0))) ** (-n / 2.0)
         return out if out.ndim else float(out)
-
-    def sample(self, grid: RadialGrid) -> RadialProfile:
-        n = self.dim
-        amp = (n * (n - 2.0)) ** ((n - 2.0) / 2.0)
-        decay = Decay(n, amplitude=amp, match_radius=grid.r_max)
-        return RadialProfile(grid=grid, values=self.value(grid.nodes),
-                             derivative_values=self.derivative(grid.nodes),
-                             decay=decay)
 
 
 def extract_lambda(u: RadialProfile, params: Params) -> float:

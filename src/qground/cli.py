@@ -292,8 +292,8 @@ _REGIMES = {
         ladder=lambda dim: geometric_ladder(2.0 ** -6, 2.0 ** -14, 0.5),
         resolution=1024, with_spectra=False, energy_gate=False,
         check=_check_sub),
-    # the deepest critical points need the finer quadrature to hold the
-    # 1e-6 variational cross-check
+    # the deepest critical points need the finer quadrature to pass the
+    # dual Pohozaev gate, the binding one there, at 1e-6
     "crit": _RegimeSpec(
         block="critical", tag=CRITICAL, dim=3, p=_critical_p,
         ladder=lambda dim: geometric_ladder(

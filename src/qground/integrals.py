@@ -14,7 +14,7 @@ the low-dimension mass blow-up of the zero-mass limit shows up in practice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,9 +23,6 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import ConstraintViolated, Divergent, InvalidParams
 from .params import Params, RadialGrid, RadialProfile, sphere_area
-
-#: largest relative gap of the dual Pohozaev cross-check in level_m_omega
-LEVEL_CROSS_CHECK_TOL = 1e-6
 
 
 def sobolev_constant(dim: int) -> float:
@@ -104,17 +101,7 @@ class ScalarDiagnostics:
     delta_omega: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "dirichlet": self.dirichlet,
-            "quasi_grad": self.quasi_grad,
-            "potential": self.potential,
-            "beta": self.beta,
-            "energy": self.energy,
-            "m_omega": self.m_omega,
-            "m_star": self.m_star,
-            "delta_omega": self.delta_omega,
-        }
+        return asdict(self)
 
 
 def energy_functional(dirichlet: float, quasi_grad: float, potential: float,
@@ -174,105 +161,44 @@ def nehari_residual(d: ScalarDiagnostics, params: Params) -> float:
     return abs(res) / d.dirichlet
 
 
-def critical_key_residual(d: ScalarDiagnostics, params: Params) -> float:
-    """Relative residual of delta Q_grad = omega M / (N-2) (critical p only)."""
-    if d.mass is None:
-        raise Divergent("critical key estimate needs a finite mass")
-    lhs = params.delta * d.quasi_grad
-    rhs = params.omega * d.mass / (params.dim - 2)
-    return abs(lhs - rhs) / max(abs(rhs), abs(lhs))
+def _dual_pohozaev_sides(d: ScalarDiagnostics,
+                         params: Params) -> tuple[float, float]:
+    """int |grad v|^2 and 2* int F_omega for v = h(u), from T, Q_grad, P, M.
+
+    int F_omega = P/(p+1) - omega M/2 and, since v' = h'(u) u' and
+    h'(u)^2 = 1 + 2 delta u^2, int |grad v|^2 = T + 2 delta Q_grad.
+    """
+    int_f = d.potential / (params.p + 1.0) - _mass_term(d, params, "the level")
+    return (d.dirichlet + 2.0 * params.delta * d.quasi_grad,
+            params.two_star() * int_f)
+
+
+def dual_pohozaev_residual(d: ScalarDiagnostics, params: Params) -> float:
+    """Relative residual of the dual problem's Pohozaev identity
+    int |grad v|^2 = 2* int F_omega (N >= 3), normalized by int |grad v|^2.
+
+    It is the Pohozaev identity of u multiplied by 2* = 2N/(N-2), so it
+    equals 2* T / (T + 2 delta Q_grad) times pohozaev_residual.  Where
+    2 delta Q_grad is small against T that factor nears 2*, which makes
+    this the binding gate on deep critical ladders.
+    """
+    grad_v, level_base = _dual_pohozaev_sides(d, params)
+    return abs(grad_v - level_base) / grad_v
 
 
 def level_m_omega(d: ScalarDiagnostics, params: Params) -> float:
     """Variational level m_omega = (2* int F_omega)^(2/N) of the dual
     problem, from the scalars T, Q_grad, P and M of u.
 
-    With v = h(u), int F_omega = P/(p+1) - omega M/2 and, since v' = h'(u) u'
-    and h'(u)^2 = 1 + 2 delta u^2, int |grad v|^2 = T + 2 delta Q_grad.  The
-    Pohozaev identity of the dual problem forces int |grad v|^2 =
-    2* int F_omega; the two must agree to LEVEL_CROSS_CHECK_TOL or the solve
-    is rejected (ConstraintViolated).
+    ConstraintViolated when int F_omega <= 0: the dual Pohozaev identity
+    int |grad v|^2 = 2* int F_omega then fails outright, and the level has
+    no real value.
     """
     if params.dim < 3:
         raise InvalidParams("the variational level uses 2*, so needs N >= 3")
-    int_f = d.potential / (params.p + 1.0) - _mass_term(d, params, "the level")
-    two_star = params.two_star()
-    dirichlet = d.dirichlet + 2.0 * params.delta * d.quasi_grad
-    rel = abs(dirichlet - two_star * int_f) / dirichlet
-    if rel > LEVEL_CROSS_CHECK_TOL:
+    _, level_base = _dual_pohozaev_sides(d, params)
+    if not level_base > 0:
         raise ConstraintViolated(
-            f"dual Pohozaev cross-check failed: |T_v - 2* int F| / T_v = {rel:.3e}")
-    return float((two_star * int_f) ** (2.0 / params.dim))
-
-
-# ---------------------------------------------------------------------------
-# appendix property checks
-# ---------------------------------------------------------------------------
-
-def radial_decay_check(u: RadialProfile, s: float, dim: int) -> bool:
-    """Pointwise bound |u(x)| <= C_{N,s} |u|_{L^s} |x|^{-N/s} for radial
-    nonincreasing u, with C_{N,s} = (N / |S^{N-1}|)^{1/s}, up to a relative
-    slack of 1e-9.
-
-    Returns False when u is not nonincreasing (the bound presumes it).
-    """
-    if not u.is_positive_decreasing():
-        return False
-    norm_s = profile_moment(u, s, dim) ** (1.0 / s)
-    c = (dim / sphere_area(dim)) ** (1.0 / s)
-    rho = u.grid.nodes[1:]
-    bound = c * norm_s * rho ** (-dim / s)
-    return bool(np.all(np.abs(u.values[1:]) <= bound * (1.0 + 1e-9)))
-
-
-def gn_ratio(u: RadialProfile, q: float, s: float, dim: int) -> float:
-    """Fitted constant of the Gagliardo-Nirenberg-type inequality for u^2:
-
-        int |u|^q <= C (int u^2 |grad u|^2)^(theta N/(N-2)) (int |u|^s)^(1-theta)
-
-    with theta = (N-2)(q-s) / (2s + N(4-s)).  Returns the ratio lhs/rhs,
-    i.e. the smallest admissible C for this profile.
-
-    The gradient-term exponent theta*N/(N-2) is forced by scale invariance:
-    it is the unique power for which both sides respond identically to
-    u -> s*u(./lambda), which is also what the classical inequality applied
-    to u^2 produces.
-    """
-    limit = 4.0 * dim / (dim - 2)
-    if not (2 <= s < limit and s < q < limit):
-        raise InvalidParams("gn_ratio needs 2 <= s < q < 4N/(N-2)")
-    theta = (dim - 2) * (q - s) / (2 * s + dim * (4 - s))
-    lhs = profile_moment(u, q, dim)
-    quasi = quasi_gradient_integral(u, dim)
-    norm_s = profile_moment(u, s, dim)
-    rhs = quasi ** (theta * dim / (dim - 2)) * norm_s ** (1.0 - theta)
-    return lhs / rhs
-
-
-def gn_check(u: RadialProfile, q: float, s: float, dim: int,
-             constant: Optional[float] = None) -> bool:
-    """True iff the inequality holds with the supplied constant (or, when
-    none is given, iff the fitted ratio is finite and positive)."""
-    ratio = gn_ratio(u, q, s, dim)
-    if constant is None:
-        return bool(np.isfinite(ratio) and ratio > 0)
-    return bool(ratio <= constant)
-
-
-def moser_bound_check(heights: list[tuple[float, float]]) -> bool:
-    """Uniform sup-bound check for a family of dual-problem minimizers.
-
-    `heights` holds (omega, sup-norm) pairs.  The family passes when every
-    sup-norm is finite and, past the transient head of the ladder (its
-    largest 30% of frequencies), the sup-norm does not increase as omega
-    decreases by more than 1e-6 relative.
-    """
-    if not heights:
-        return False
-    pairs = sorted(heights, key=lambda t: -t[0])   # decreasing omega
-    values = np.array([h for _, h in pairs], dtype=float)
-    if not np.all(np.isfinite(values)):
-        return False
-    start = int(len(values) * 0.3)
-    tail = values[start:]
-    return bool(np.all(np.diff(tail) <= 1e-6 * np.abs(tail[:-1])))
+            f"2* int F_omega = {level_base:.3e} is not positive: the dual "
+            f"Pohozaev identity fails")
+    return float(level_base ** (2.0 / params.dim))

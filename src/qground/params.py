@@ -418,18 +418,6 @@ class RadialProfile:
                 out = np.where(far, self.decay.value(np.maximum(rho, 1e-300)), out)
         return out if out.ndim else float(out)
 
-    def is_positive_decreasing(self) -> bool:
-        """Positivity and monotone nonincrease up to 1e-10 * height.
-
-        The slack sits just above the integrator's 1e-11 relative
-        tolerance: profiles with very flat cores decrease by less than the
-        integration noise between neighboring nodes.
-        """
-        tol = 1e-10 * (abs(self.values[0]) if self.values.size else 1.0)
-        positive = np.all(self.values > -tol)
-        monotone = np.all(np.diff(self.values) <= tol)
-        return bool(positive and monotone)
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:

@@ -62,7 +62,8 @@ ODE_RTOL = 1e-11
 ODE_ATOL_REL = 1e-13
 #: monitor evaluations allowed to each of the bracket and root-find phases
 MAX_HEIGHT_STEPS = 100
-#: Pohozaev and Nehari residuals below which a solve is accepted
+#: Pohozaev, Nehari and dual Pohozaev residuals below which a solve is
+#: accepted
 IDENTITY_TOL = 1e-6
 
 
@@ -279,10 +280,16 @@ class SolveReport:
     bracket: tuple[float, float]
 
     def gates(self) -> list[tuple[str, float, float]]:
-        """(name, residual, tolerance); a gate passes below its tolerance."""
-        return [("ODE", self.ode_residual, 1e-6 * abs(self.shooting_height)),
+        """(name, residual, tolerance); a gate passes below its tolerance.
+        For N >= 3 the dual problem's Pohozaev identity, which the level
+        m_omega rests on, is a gate of its own."""
+        rows = [("ODE", self.ode_residual, 1e-6 * abs(self.shooting_height)),
                 ("Pohozaev", self.pohozaev_residual, IDENTITY_TOL),
                 ("Nehari", self.nehari_residual, IDENTITY_TOL)]
+        if self.params.dim >= 3:
+            rows.append(("dual Pohozaev", integrals.dual_pohozaev_residual(
+                self.diagnostics, self.params), IDENTITY_TOL))
+        return rows
 
     def accepted(self) -> bool:
         """Every gate passes, as on each report solve_ground_state returns."""
@@ -421,12 +428,12 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
                        guess: Optional[float] = None) -> SolveReport:
     """Compute the unique positive radial decreasing ground state.
 
-    The report is accepted: a solve that fails its ODE, Pohozaev or
-    Nehari gate raises ConstraintViolated naming each failed gate.  With
-    omega = 0 (zero mass) N >= 3 and supercritical p are required, and with
-    delta = 0 (NLS) and N >= 3 subcritical p (Pohozaev); otherwise
-    NoGroundState, before any integration.  `guess` warm-starts the
-    bracket around a known nearby height.
+    The report is accepted: a solve that fails its ODE, Pohozaev, Nehari
+    or dual Pohozaev gate raises ConstraintViolated naming each failed
+    gate.  With omega = 0 (zero mass) N >= 3 and supercritical p are
+    required, and with delta = 0 (NLS) and N >= 3 subcritical p
+    (Pohozaev); otherwise NoGroundState, before any integration.  `guess`
+    warm-starts the bracket around a known nearby height.
     """
     cfg = cfg or ShootingConfig()
     regime = classify(params)

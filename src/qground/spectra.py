@@ -8,8 +8,10 @@ quasilinear equation around the ground state u:
     L- w = -Lap(w) - delta (2 u Lap(u) + 2 |grad u|^2) w - u^{p-1} w + omega w
 
 and the dual-side operator is -Lap - f_omega'(v) acting on the semilinear
-variable.  Each is discretized per angular sector l from its divergence
-form by a finite-volume scheme on the radial grid: the resulting matrix is
+variable.  Each is discretized from its divergence form by a finite-volume
+scheme on the radial grid, and one assembly gives both angular sectors the
+spectra need: l = 0, and l = 1, which is the l = 0 matrix without the
+origin's node plus the centrifugal diagonal.  Each sector's matrix is
 symmetric tridiagonal under the cell-volume inner product, so SciPy's
 tridiagonal eigensolver gives both the low eigenvalues and, by LAPACK's
 bisection over (-inf, -tol], the negative-eigenvalue counts.  Lap(u) is
@@ -29,14 +31,11 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from . import transform
 from .errors import EntryMismatch, InvalidParams, NearSingular
-from .params import Params, RadialGrid, RadialProfile, classify, sphere_area
+from .params import Params, RadialGrid, RadialProfile, sphere_area
 
 KIND_LPLUS = "L+"
 KIND_LMINUS = "L-"
 KIND_DUAL = "dual"
-
-GUARANTEED_NEGATIVE = "guaranteed-negative"
-INCONCLUSIVE = "inconclusive"
 
 #: cells at R_max left out of the kernel residual's numerator
 KERNEL_BOUNDARY_SKIP = 3
@@ -61,7 +60,7 @@ class DiscreteOperator:
     """Symmetric tridiagonal discretization of a radial sector operator.
 
     Unknowns live on nodes start..M-1 (start = 0 with a natural Neumann
-    flux for l = 0, start = 1 i.e. Dirichlet at the origin for l >= 1);
+    flux for l = 0, start = 1 i.e. Dirichlet at the origin for l = 1);
     the outer boundary is Dirichlet.  `diag`/`off` hold the stiffness
     matrix K, `weights` the cell volumes D (sphere factor included), so
     the operator action is D^{-1} K and x^T K y approximates the quadratic
@@ -101,8 +100,7 @@ class DiscreteOperator:
         ab[0, 1:] = self.off
         ab[1] = self.diag
         ab[2, :-1] = self.off
-        piv_scale = np.max(np.abs(self.diag))
-        if piv_scale == 0:
+        if not self.diag.any():
             raise NearSingular("zero operator")
         return solve_banded((1, 1), ab, self.weights * rhs)
 
@@ -112,9 +110,10 @@ class DiscreteOperator:
         return self.diag * s * s, self.off * s[:-1] * s[1:]
 
 
-def assemble(u: RadialProfile, params: Params, ell: int = 0,
-             kind: str = KIND_LPLUS) -> DiscreteOperator:
-    """Finite-volume assembly of L+, L- or the dual-side operator."""
+def assemble(u: RadialProfile, params: Params, kind: str
+             ) -> tuple[DiscreteOperator, DiscreteOperator]:
+    """Finite-volume assembly of L+, L- or the dual-side operator, as its
+    l = 0 and l = 1 sectors from one pass over the grid."""
     grid = u.grid
     nodes = grid.nodes
     n = params.dim
@@ -126,51 +125,47 @@ def assemble(u: RadialProfile, params: Params, ell: int = 0,
         lap_u = laplacian_of_u(u, params)
         q = -delta * (4.0 * uu * lap_u + 2.0 * up ** 2) \
             - params.p * np.abs(uu) ** (params.p - 1.0) + params.omega
-        coeff_profile: Optional[RadialProfile] = u
     elif kind == KIND_LMINUS:
         lap_u = laplacian_of_u(u, params)
         q = -delta * (2.0 * uu * lap_u + 2.0 * up ** 2) \
             - np.abs(uu) ** (params.p - 1.0) + params.omega
-        coeff_profile = None
     elif kind == KIND_DUAL:
         # -f_omega'(v) at v = h(u), in closed form on the nodes of u
         q = -transform.f_omega_prime_u(uu, params)
-        coeff_profile = None
     else:
         raise InvalidParams(f"unknown operator kind {kind!r}")
 
     mid = grid.midpoints()
-    if coeff_profile is None:
+    if kind == KIND_LPLUS:
+        a_face = 1.0 + 2.0 * delta * u(mid) ** 2
+        a_node = 1.0 + 2.0 * delta * uu ** 2
+    else:
         a_face = np.ones_like(mid)
         a_node = np.ones_like(nodes)
-    else:
-        u_face = coeff_profile(mid)
-        a_face = 1.0 + 2.0 * delta * u_face ** 2
-        a_node = 1.0 + 2.0 * delta * uu ** 2
     # face i sits between nodes i and i+1; node 0's inner face carries no
     # flux (the rho^{N-1} weight vanishes), which is the natural Neumann
     # condition of the l = 0 sector
     flux = area * a_face * mid ** (n - 1) / np.diff(nodes)
     faces_n = mid ** n
-    start = 0 if ell == 0 else 1
-    idx = np.arange(start, len(nodes) - 1)
-    inner_face = np.where(idx >= 1, faces_n[np.maximum(idx - 1, 0)], 0.0)
-    weights = area * (faces_n[idx] - inner_face) / n
-    diag = q[idx] * weights + flux[idx]
-    diag += np.where(idx >= 1, flux[np.maximum(idx - 1, 0)], 0.0)
-    if ell > 0:
-        # the centrifugal term is integrated exactly over each cell: a
-        # pointwise 1/rho^2 would lose all relative accuracy on the first
-        # cells, where it must cancel the flux divergence for w ~ rho^l
-        lo_face = mid[np.maximum(idx - 1, 0)]
-        hi_face = mid[idx]
-        if n == 2:
-            cell_int = np.log(hi_face / lo_face)
-        else:
-            cell_int = (hi_face ** (n - 2) - lo_face ** (n - 2)) / (n - 2)
-        diag += ell * (ell + n - 2.0) * area * a_node[idx] * cell_int
-    off = -flux[idx[:-1]]
-    return DiscreteOperator(start=start, diag=diag, off=off, weights=weights)
+    weights = area * (faces_n - np.concatenate(([0.0], faces_n[:-1]))) / n
+    diag = q[:-1] * weights + flux
+    diag[1:] += flux[:-1]
+    radial = DiscreteOperator(start=0, diag=diag, off=-flux[:-1],
+                              weights=weights)
+    # l = 1 drops node 0 (Dirichlet at the origin) and adds the centrifugal
+    # term l(l+N-2) a / rho^2, integrated exactly over each cell: a
+    # pointwise 1/rho^2 would lose all relative accuracy on the first
+    # cells, where it must cancel the flux divergence for w ~ rho.  Its
+    # `off` and `weights` are views of the l = 0 arrays, which no operator
+    # method writes to
+    if n == 2:
+        cell_int = np.log(mid[1:] / mid[:-1])
+    else:
+        cell_int = (mid[1:] ** (n - 2) - mid[:-1] ** (n - 2)) / (n - 2)
+    ell1 = DiscreteOperator(
+        start=1, diag=diag[1:] + (n - 1.0) * area * a_node[1:-1] * cell_int,
+        off=radial.off[1:], weights=weights[1:])
+    return radial, ell1
 
 
 def negative_count(op: DiscreteOperator, tol: float = 0.0) -> int:
@@ -247,7 +242,7 @@ def _mprime_primal(u: RadialProfile, params: Params,
     """Primal M' on u's grid, d_omega u, and the discrete |u|^2; `op` is
     the l = 0 L+ operator of u, assembled here when not given."""
     if op is None:
-        op = assemble(u, params, ell=0, kind=KIND_LPLUS)
+        op, _ = assemble(u, params, KIND_LPLUS)
     u_r = op.restrict(u.values)
     w = op.solve(-u_r)
     return 2.0 * op.inner(u_r, w), w, op.inner(u_r, u_r)
@@ -255,7 +250,7 @@ def _mprime_primal(u: RadialProfile, params: Params,
 
 def _mprime_dual(u: RadialProfile, params: Params) -> float:
     """Dual M' on u's grid."""
-    op_d = assemble(u, params, ell=0, kind=KIND_DUAL)
+    op_d, _ = assemble(u, params, KIND_DUAL)
     # eta = d_omega v of the dual problem's source: u r'(v) = u / h'(u)
     eta = op_d.restrict(u.values / transform.h_prime(u.values, params))
     phi = op_d.solve(-eta)
@@ -378,27 +373,6 @@ def matrix_l(op: DiscreteOperator, u: RadialProfile, params: Params,
     return result
 
 
-def mprime_sign_window(dim: int, p) -> str:
-    """Sign guarantee for M' near omega = 0 in the supercritical regime.
-
-    The quadratic C(p) = -(N/2) p^2 + 2(N+2) p - (3N^2+10N)/(2(N-2)) is
-    negative for every admissible p when N <= 5; for N >= 6 its two roots
-    p_-(N) < p_+(N) delimit the inconclusive window.  C < 0 forces
-    M'(omega) < 0 for small omega; in particular p >= 3 + 4/N always
-    lands outside the window.
-    """
-    params = Params(dim, p, 1.0, 1.0)
-    regime = classify(params)
-    if not regime.is_supercritical:
-        raise InvalidParams("the sign window applies to supercritical p only")
-    if dim <= 5:
-        return GUARANTEED_NEGATIVE
-    pv = params.p
-    c = -0.5 * dim * pv ** 2 + 2.0 * (dim + 2.0) * pv \
-        - (3.0 * dim ** 2 + 10.0 * dim) / (2.0 * (dim - 2.0))
-    return GUARANTEED_NEGATIVE if c < 0 else INCONCLUSIVE
-
-
 # ---------------------------------------------------------------------------
 # full spectral report
 # ---------------------------------------------------------------------------
@@ -449,10 +423,8 @@ def build_spectral_report(solve_report) -> SpectralReport:
     """All spectral diagnostics for an accepted ground-state solve."""
     u, params = solve_report.u, solve_report.params
     d = solve_report.diagnostics
-    op_p0 = assemble(u, params, ell=0, kind=KIND_LPLUS)
-    op_p1 = assemble(u, params, ell=1, kind=KIND_LPLUS)
-    op_m0 = assemble(u, params, ell=0, kind=KIND_LMINUS)
-    op_m1 = assemble(u, params, ell=1, kind=KIND_LMINUS)
+    op_p0, op_p1 = assemble(u, params, KIND_LPLUS)
+    op_m0, op_m1 = assemble(u, params, KIND_LMINUS)
 
     res_minus = kernel_residual(op_m0, u.values)
     res_plus1 = kernel_residual(op_p1, u.derivative_values)

@@ -18,14 +18,16 @@ from qground.asymptotics import (bubble_distance, critical_scaling_report,
                                  supercritical_limit_check)
 from qground.branch import (SweepPlan, energy_identity_check,
                             geometric_ladder, run_sweep)
-from qground.integrals import (critical_key_residual, gn_ratio,
-                               moser_bound_check, radial_decay_check)
 from qground.params import Params, classify
 from qground.shooting import (ShootingConfig, nls_ground_state,
                               solve_ground_state)
-from qground.spectra import (GUARANTEED_NEGATIVE, INCONCLUSIVE, assemble,
-                             kernel_residual, mprime_resolvent,
-                             mprime_sign_window, negative_count)
+from qground.spectra import (assemble, kernel_residual, mprime_resolvent,
+                             negative_count)
+
+from appendix import (GUARANTEED_NEGATIVE, INCONCLUSIVE,
+                      critical_key_residual, gn_ratio, moser_bound_check,
+                      mprime_agreement, mprime_sign_window,
+                      radial_decay_check)
 
 
 def _report(num, name, elapsed, detail):
@@ -184,12 +186,11 @@ def test_criterion_3_spectral_structure():
         residuals = {}
         for res in (512, 1024, 2048):
             rep = solve_ground_state(params, ShootingConfig(resolution=res))
-            op_m = assemble(rep.u, params, ell=0, kind="L-")
+            op_m, _ = assemble(rep.u, params, kind="L-")
             residuals[res] = kernel_residual(op_m, rep.u.values)
             if res == 1024:
-                op_p = assemble(rep.u, params, ell=0, kind="L+")
+                op_p, op_p1 = assemble(rep.u, params, kind="L+")
                 assert negative_count(op_p) == 1, (dim, p, delta, omega)
-                op_p1 = assemble(rep.u, params, ell=1, kind="L+")
                 tol = 10.0 * kernel_residual(op_p1, rep.u.derivative_values)
                 assert negative_count(op_p1, tol=tol) == 0, \
                     (dim, p, delta, omega)
@@ -209,7 +210,7 @@ def _agreements(points, lo=0.0, hi=np.inf):
     out = []
     for q in sorted_points(points):
         if lo <= q.omega <= hi:
-            ag = q.mprime_agreement()
+            ag = mprime_agreement(q)
             if ag is not None:
                 out.append(ag)
     return out

@@ -11,6 +11,8 @@ from qground.errors import (InsufficientWindow, InvalidParams, RegimeMismatch)
 from qground.integrals import sobolev_constant
 from qground.params import Params, make_grid
 
+from appendix import sample_bubble
+
 
 def lane_emden_residual(bubble: AubinTalenti, rho) -> float:
     """Sup of |Lap U + U^{(N+2)/(N-2)}| evaluated from closed forms."""
@@ -56,7 +58,7 @@ class TestBubble:
         from qground.integrals import dirichlet_integral
 
         bubble = AubinTalenti(3)
-        prof = bubble.sample(make_grid(Params(3, 3, 1.0, 0.0), 2048))
+        prof = sample_bubble(bubble, make_grid(Params(3, 3, 1.0, 0.0), 2048))
         assert dirichlet_integral(prof, 3) == pytest.approx(
             bubble.m_star ** 1.5, rel=1e-8)
 

@@ -8,6 +8,8 @@ from qground.errors import (ConstraintViolated, InsufficientNeighbors,
                             InvalidParams, NoConvergence)
 from qground.params import Params
 
+from appendix import mprime_agreement
+
 
 @pytest.fixture(scope="module")
 def small_sweep():
@@ -81,7 +83,7 @@ class TestSweep:
     def test_mprime_routes_agree(self, small_sweep):
         _, store = small_sweep
         for q in store.points():
-            ag = q.mprime_agreement()
+            ag = mprime_agreement(q)
             if ag is not None:
                 assert ag < 0.01
 

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from qground.errors import ConstraintViolated, Divergent, InvalidParams
-from qground.integrals import (compute_diagnostics, critical_key_residual,
-                               dirichlet_integral, gn_check, gn_ratio,
-                               integrate_radial, level_m_omega,
-                               moser_bound_check, nehari_residual,
+from qground.integrals import (compute_diagnostics, dirichlet_integral,
+                               dual_pohozaev_residual, integrate_radial,
+                               level_m_omega, nehari_residual,
                                pohozaev_residual, profile_moment,
-                               quasi_gradient_integral, radial_decay_check,
-                               sobolev_constant, sphere_area)
+                               quasi_gradient_integral, sobolev_constant,
+                               sphere_area)
 from qground.params import Decay, Params, RadialProfile, make_grid
 from qground.transform import F_omega_u
+
+from appendix import (critical_key_residual, gn_check, gn_ratio,
+                      moser_bound_check, radial_decay_check, sample_bubble)
 
 
 #: the grids of the cubic problem in 3D at omega = 1 and at omega = 0
@@ -143,7 +145,7 @@ class TestLevel:
         for dim in (3, 4, 5):
             bubble = AubinTalenti(dim)
             grid = make_grid(ZERO_MASS, 2048)
-            prof = bubble.sample(grid)
+            prof = sample_bubble(bubble, grid)
             t_val = dirichlet_integral(prof, dim)
             p_val = profile_moment(prof, 2 * dim / (dim - 2), dim)
             quotient = t_val / p_val ** ((dim - 2) / dim)
@@ -170,11 +172,37 @@ class TestLevel:
                                         rel=1e-12)
 
     def test_level_cross_check_rejects(self, crit3):
-        # the dual Pohozaev identity T + 2 delta Q = 2* int F_omega
-        broken = replace(crit3.diagnostics,
-                         dirichlet=1.01 * crit3.diagnostics.dirichlet)
-        with pytest.raises(ConstraintViolated, match="cross-check"):
+        # the dual Pohozaev identity T + 2 delta Q = 2* int F_omega: off by
+        # 1 % it fails its gate (the other gates read the report's stored
+        # residuals, so they do not move with the diagnostics)
+        d, params = crit3.diagnostics, crit3.params
+        gates = {name: (res, tol) for name, res, tol in crit3.gates()}
+        assert gates["dual Pohozaev"][0] < gates["dual Pohozaev"][1]
+        broken = replace(d, dirichlet=1.01 * d.dirichlet,
+                         quasi_grad=1.01 * d.quasi_grad)
+        report = replace(crit3, diagnostics=broken)
+        failed = [name for name, res, tol in report.gates()
+                  if not res < tol]
+        assert failed == ["dual Pohozaev"]
+        assert not report.accepted()
+        res = dual_pohozaev_residual(broken, params)
+        assert res == pytest.approx(0.01 / 1.01, rel=1e-4)
+        # it is the Pohozaev identity of u scaled by 2* T / (T + 2 delta Q)
+        poh = pohozaev_residual(broken, params)
+        t_v = broken.dirichlet + 2.0 * params.delta * broken.quasi_grad
+        assert res == pytest.approx(
+            params.two_star() * broken.dirichlet / t_v * poh, rel=1e-9)
+
+    def test_level_needs_positive_base(self, crit3):
+        # int F_omega <= 0 has no real level: a typed rejection, never a
+        # complex power
+        broken = replace(crit3.diagnostics, potential=0.0)
+        with pytest.raises(ConstraintViolated, match="not positive"):
             level_m_omega(broken, crit3.params)
+
+    def test_dual_gate_needs_dimension_three(self, townes, crit3):
+        assert "dual Pohozaev" not in [g[0] for g in townes.gates()]
+        assert "dual Pohozaev" in [g[0] for g in crit3.gates()]
 
     def test_profile_alone_has_no_level(self, crit3):
         d = compute_diagnostics(crit3.u, crit3.params)

@@ -17,6 +17,8 @@ from qground.params import (CRITICAL, DECAY_EXPONENTIAL, DECAY_POWER,
 from qground.shooting import ShootingConfig
 from qground.spectra import coarsen_profile
 
+from appendix import is_positive_decreasing
+
 
 class TestClassify:
     def test_critical_exact_integer(self):
@@ -246,5 +248,5 @@ class TestProfileCsv:
         assert float(v) == nls33.u.values[1]
 
     def test_profile_invariants(self, nls33):
-        assert nls33.u.is_positive_decreasing()
+        assert is_positive_decreasing(nls33.u)
         assert nls33.u.derivative_values[0] == 0.0

@@ -15,6 +15,8 @@ from qground.shooting import (_Shooter, nls_ground_state, series_start,
                               solve_ground_state)
 from qground.transform import f_omega_u, h, r
 
+from appendix import is_positive_decreasing
+
 # frozen oracle values from tests/oracle.py (independent Radau shooting at
 # bisection tolerance 1e-13, adaptive quadrature for the norms)
 Q0_ORACLE = {(3, 3): 4.337387679976359, (2, 3): 2.206200864650384,
@@ -139,8 +141,8 @@ class TestReports:
 
     def test_profiles_positive_decreasing(self, crit3, super53):
         for rep in (crit3, super53):
-            assert rep.v.is_positive_decreasing()
-            assert rep.u.is_positive_decreasing()
+            assert is_positive_decreasing(rep.v)
+            assert is_positive_decreasing(rep.u)
 
     def test_u_is_r_of_v(self, crit3):
         # forward consistency: h(u) returns v to Newton tolerance

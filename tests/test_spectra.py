@@ -4,17 +4,68 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qground import transform
 from qground.errors import InvalidParams, NearSingular
-from qground.params import Params
+from qground.params import Params, sphere_area
 from qground.shooting import ShootingConfig, solve_ground_state
-from qground.spectra import (GUARANTEED_NEGATIVE, INCONCLUSIVE, assemble,
+from qground.spectra import (DiscreteOperator, assemble,
                              build_spectral_report, coarsen_profile,
-                             ground_pair,
-                             kernel_residual, low_spectrum,
-                             matrix_l_closed_form,
-                             mprime_resolvent, mprime_sign_window,
-                             negative_count)
+                             ground_pair, kernel_residual, laplacian_of_u,
+                             low_spectrum, matrix_l_closed_form,
+                             mprime_resolvent, negative_count)
 from qground.transform import h_prime, r
+
+from appendix import GUARANTEED_NEGATIVE, INCONCLUSIVE, mprime_sign_window
+
+
+def assemble_sector(u, params, ell, kind):
+    """Reference: one angular sector per assembly, with the sector's index
+    range and the centrifugal term handled inside one pass."""
+    grid = u.grid
+    nodes = grid.nodes
+    n = params.dim
+    area = sphere_area(n)
+    delta = params.delta
+    uu, up = u.values, u.derivative_values
+    if kind == "L+":
+        lap_u = laplacian_of_u(u, params)
+        q = -delta * (4.0 * uu * lap_u + 2.0 * up ** 2) \
+            - params.p * np.abs(uu) ** (params.p - 1.0) + params.omega
+        coeff_profile = u
+    elif kind == "L-":
+        lap_u = laplacian_of_u(u, params)
+        q = -delta * (2.0 * uu * lap_u + 2.0 * up ** 2) \
+            - np.abs(uu) ** (params.p - 1.0) + params.omega
+        coeff_profile = None
+    else:
+        q = -transform.f_omega_prime_u(uu, params)
+        coeff_profile = None
+    mid = grid.midpoints()
+    if coeff_profile is None:
+        a_face = np.ones_like(mid)
+        a_node = np.ones_like(nodes)
+    else:
+        u_face = coeff_profile(mid)
+        a_face = 1.0 + 2.0 * delta * u_face ** 2
+        a_node = 1.0 + 2.0 * delta * uu ** 2
+    flux = area * a_face * mid ** (n - 1) / np.diff(nodes)
+    faces_n = mid ** n
+    start = 0 if ell == 0 else 1
+    idx = np.arange(start, len(nodes) - 1)
+    inner_face = np.where(idx >= 1, faces_n[np.maximum(idx - 1, 0)], 0.0)
+    weights = area * (faces_n[idx] - inner_face) / n
+    diag = q[idx] * weights + flux[idx]
+    diag += np.where(idx >= 1, flux[np.maximum(idx - 1, 0)], 0.0)
+    if ell > 0:
+        lo_face = mid[np.maximum(idx - 1, 0)]
+        hi_face = mid[idx]
+        if n == 2:
+            cell_int = np.log(hi_face / lo_face)
+        else:
+            cell_int = (hi_face ** (n - 2) - lo_face ** (n - 2)) / (n - 2)
+        diag += ell * (ell + n - 2.0) * area * a_node[idx] * cell_int
+    off = -flux[idx[:-1]]
+    return DiscreteOperator(start=start, diag=diag, off=off, weights=weights)
 
 
 def matrix_l_critical_form(params: Params, mprime: float, mass: float,
@@ -31,17 +82,32 @@ def matrix_l_critical_form(params: Params, mprime: float, mass: float,
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("fixture", ["townes", "nls33", "crit3",
+                                         "super53"])
+    def test_sectors_match_per_sector_reference(self, fixture, request):
+        # one assembly gives, bit for bit, what a separate assembly per
+        # sector gives: the l = 1 sector is the l = 0 one without node 0,
+        # plus the centrifugal diagonal (N = 2 takes its log branch)
+        rep = request.getfixturevalue(fixture)
+        for kind in ("L+", "L-", "dual"):
+            for ell, op in enumerate(assemble(rep.u, rep.params, kind)):
+                ref = assemble_sector(rep.u, rep.params, ell, kind)
+                assert op.start == ref.start == ell
+                for name in ("diag", "off", "weights"):
+                    got, want = getattr(op, name), getattr(ref, name)
+                    assert got.dtype == want.dtype, (kind, ell, name)
+                    assert np.array_equal(got, want), (kind, ell, name)
+
     def test_delta_zero_reduction(self, nls33):
         # at delta = 0 both L+ and the dual operator are -Lap - pQ^{p-1} + w
-        op_p = assemble(nls33.u, nls33.params, ell=0, kind="L+")
-        op_d = assemble(nls33.u, nls33.params, ell=0, kind="dual")
+        op_p, _ = assemble(nls33.u, nls33.params, kind="L+")
+        op_d, _ = assemble(nls33.u, nls33.params, kind="dual")
         assert np.allclose(op_p.diag, op_d.diag, rtol=1e-12)
         assert np.allclose(op_p.off, op_d.off, rtol=1e-12)
 
     def test_ell_sector_shift(self, nls33):
         # the l = 1 centrifugal term adds (N-1)/rho^2 on cell average
-        op0 = assemble(nls33.u, nls33.params, ell=0, kind="L-")
-        op1 = assemble(nls33.u, nls33.params, ell=1, kind="L-")
+        op0, op1 = assemble(nls33.u, nls33.params, kind="L-")
         i = 200   # a mid-grid node, same index offset by start
         rho = nls33.u.grid.nodes[op1.start + i]
         added = (op1.diag[i] - op0.diag[i + 1]) / op1.weights[i]
@@ -66,7 +132,7 @@ class TestAssembly:
             - 4 * delta * uu * up * wp \
             - delta * (4 * uu * lap_u + 2 * up ** 2) * w \
             - params.p * uu ** (params.p - 1) * w + params.omega * w
-        op = assemble(u, params, ell=0, kind="L+")
+        op, _ = assemble(u, params, kind="L+")
         applied = op.apply(op.restrict(w))
         interior = slice(1, 600)
         scale = np.max(np.abs(first_order))
@@ -79,8 +145,8 @@ class TestAssembly:
         params = crit3.params
         rp = 1.0 / h_prime(r(crit3.v.values, params), params)
         rng = np.random.default_rng(7)
-        op_p = assemble(crit3.u, params, ell=0, kind="L+")
-        op_d = assemble(crit3.u, params, ell=0, kind="dual")
+        op_p, _ = assemble(crit3.u, params, kind="L+")
+        op_d, _ = assemble(crit3.u, params, kind="dual")
         rho = crit3.u.grid.nodes
         worst = 0.0
         for _ in range(20):
@@ -105,8 +171,8 @@ class TestAssembly:
             rp = 1.0 / h_prime(r(rep.v.values, rep.params), rep.params)
             rho = rep.u.grid.nodes
             w = np.exp(-0.7 * rho ** 2) * (1.0 + 0.2 * rho)
-            op_p = assemble(rep.u, rep.params, ell=0, kind="L+")
-            op_d = assemble(rep.u, rep.params, ell=0, kind="dual")
+            op_p, _ = assemble(rep.u, rep.params, kind="L+")
+            op_d, _ = assemble(rep.u, rep.params, kind="dual")
             lhs = op_p.apply(op_p.restrict(w))
             rhs = op_d.apply(op_d.restrict(w / rp)) / op_p.restrict(rp)
             # skip the first few cells: their pointwise consistency is
@@ -132,8 +198,8 @@ class TestSpectrum:
         for res in (1024, 2048):
             rep = solve_ground_state(Params(3, 3, 0.0, 1.0),
                                      ShootingConfig(resolution=res))
-            op_m = assemble(rep.u, rep.params, ell=0, kind="L-")
-            op_p1 = assemble(rep.u, rep.params, ell=1, kind="L+")
+            op_m, _ = assemble(rep.u, rep.params, kind="L-")
+            _, op_p1 = assemble(rep.u, rep.params, kind="L+")
             errs[res] = (kernel_residual(op_m, rep.u.values),
                          kernel_residual(op_p1, rep.u.derivative_values))
         for i in range(2):
@@ -145,18 +211,18 @@ class TestSpectrum:
         for res in (1024, 2048):
             rep = solve_ground_state(Params(3, 5, 1.0, 2.0 ** -6),
                                      ShootingConfig(resolution=res))
-            op = assemble(rep.u, rep.params, ell=0, kind="L+")
+            op, _ = assemble(rep.u, rep.params, kind="L+")
             vals.append(low_spectrum(op, 1)[0])
         assert abs(vals[1] - vals[0]) / abs(vals[1]) < 1e-4
 
     def test_ground_pair_matches_low_spectrum(self, crit3):
-        op = assemble(crit3.u, crit3.params, ell=0, kind="L-")
+        op, _ = assemble(crit3.u, crit3.params, kind="L-")
         lam, vec = ground_pair(op)
         assert lam == pytest.approx(low_spectrum(op, 1)[0], rel=1e-12)
         assert len(vec) == len(op.diag)
 
     def test_negative_count_tolerance(self, nls33):
-        op = assemble(nls33.u, nls33.params, ell=0, kind="L+")
+        op, _ = assemble(nls33.u, nls33.params, kind="L+")
         assert negative_count(op) == 1
         # a huge tolerance hides the negative eigenvalue
         assert negative_count(op, tol=1e3) == 0
@@ -166,7 +232,7 @@ class TestSpectrum:
         # eigenvalues are negative
         u = coarsen_profile(coarsen_profile(coarsen_profile(nls33.u)))
         assert u.grid.resolution == 128
-        op = assemble(u, nls33.params, ell=0, kind="L+")
+        op, _ = assemble(u, nls33.params, kind="L+")
         op = replace(op, diag=op.diag - 5.0 * op.weights)
         diag, off = op.scaled_tridiagonal()
         dense = np.linalg.eigvalsh(
@@ -296,10 +362,10 @@ class TestSignWindow:
 
 class TestReportAssembly:
     def test_radial_lplus_assembled_once(self, crit3, monkeypatch):
-        # the report's l = 0 L+ serves the finest resolvent level too: eight
-        # assemblies (four sectors, two kinds at each of the two finer M'
-        # levels and the primal one at the coarsest, less the shared one)
-        # and the same M' as a resolvent on its own
+        # one assembly per operator, and the report's L+ serves the finest
+        # resolvent level too: six assemblies (L+ and L- with both sectors,
+        # the dual at the finest level, both kinds at the middle level and
+        # L+ at the coarsest) and the same M' as a resolvent on its own
         from qground import spectra
 
         calls = []
@@ -310,7 +376,7 @@ class TestReportAssembly:
 
         monkeypatch.setattr(spectra, "assemble", counted)
         report = build_spectral_report(crit3)
-        assert len(calls) == 8
+        assert len(calls) == 6
         monkeypatch.undo()
         alone = mprime_resolvent(crit3.u, crit3.params)
         assert report.mprime.primal == alone.primal

@@ -4,7 +4,7 @@ import importlib.util
 import os
 from pathlib import Path
 
-from qground import branch, shooting
+from qground import branch, shooting, spectra
 from qground.params import Params
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -33,6 +33,19 @@ def test_tracer_installs_and_counts_a_solve():
     assert 1 <= totals["shooting.bracket_integrations"] <= rep.iterations
     # one vectorised inverse of h per solve, for the off-trajectory nodes
     assert totals["transform.vector_calls"] == 1
+
+
+def test_tracer_counts_one_assembly_per_operator(crit3):
+    # L+ and L- once each with both sectors, then the four M' levels that
+    # the report's L+ does not serve; five banded solves for M'
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        spectra.build_spectral_report(crit3)
+    finally:
+        tracer.uninstall()
+    assert tracer.totals["spectra.assemble_calls"] == 6
+    assert tracer.totals["spectra.banded_solves"] == 5
 
 
 def test_sweep_calls_compute_point_in_process():
