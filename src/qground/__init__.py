@@ -27,8 +27,8 @@ from .integrals import (ScalarDiagnostics, compute_diagnostics,
                         sobolev_constant)
 from .params import (Decay, Params, RadialGrid, RadialProfile, Regime,
                      classify, make_grid)
-from .shooting import (ShootingConfig, SolveReport, nls_ground_state,
-                       series_start, solve_ground_state)
+from .shooting import (ShootingConfig, SolveReport, series_start,
+                       solve_ground_state)
 from .spectra import (DiscreteOperator, MatrixL, SpectralReport, assemble,
                       build_spectral_report, low_spectrum, matrix_l,
                       mprime_resolvent, negative_count)

@@ -189,8 +189,8 @@ class AubinTalenti:
         U(x) = (1 + |x|^2 / (N(N-2)))^{-(N-2)/2},
 
     normalized by U(0) = 1, solving Lap(U) + U^{(N+2)/(N-2)} = 0.  W is the
-    dilation U(sqrt(m_*) x), which carries unit critical norm and Dirichlet
-    energy m_*; |grad U|_2^2 = m_*^{N/2}.
+    dilation U(sqrt(m_*) x), with m_* = sobolev_constant(N), which carries
+    unit critical norm and Dirichlet energy m_*; |grad U|_2^2 = m_*^{N/2}.
     """
 
     dim: int
@@ -198,10 +198,6 @@ class AubinTalenti:
     def __post_init__(self):
         if self.dim < 3:
             raise InvalidParams("the bubble profile needs N >= 3")
-
-    @property
-    def m_star(self) -> float:
-        return sobolev_constant(self.dim)
 
     def value(self, rho):
         n = self.dim
@@ -339,8 +335,7 @@ def critical_scaling_report(points: Sequence[MassCurvePoint], params: Params,
         np.all(np.diff(product) >= 0))   # increasing in omega = decreasing down the ladder
     out["gap_nonnegative"] = bool(np.all(gap >= -1e-9 * m_star))
     if last_profile is not None:
-        out["bubble_distance"] = bubble_distance(last_profile,
-                                                 params.with_omega(float(w[0])))
+        out["bubble_distance"] = bubble_distance(last_profile, params)
     return out
 
 

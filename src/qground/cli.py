@@ -21,7 +21,7 @@ from .errors import InvalidParams, QGroundError
 from .integrals import sobolev_constant
 from .params import (CRITICAL, MASS_SUBCRITICAL, SUBCRITICAL, SUPERCRITICAL,
                      Params, classify)
-from .shooting import ShootingConfig, nls_ground_state, solve_ground_state
+from .shooting import ShootingConfig, solve_ground_state
 from .branch import BranchStore, SweepPlan, default_out_dir, geometric_ladder
 
 
@@ -189,7 +189,8 @@ def _critical_p(dim: int) -> Fraction:
 
 def _check_sub(plan: SweepPlan, store: BranchStore, params: Params):
     """Second-order expansion against Q, and the sign of M' by p vs 1 + 4/N."""
-    q_rep = nls_ground_state(plan.dim, plan.p, plan.resolution)
+    q_rep = solve_ground_state(Params(plan.dim, plan.p, 0.0, 1.0),
+                               ShootingConfig(resolution=plan.resolution))
     expansion = asymptotics.subcritical_expansion_check(
         store.points(), q_rep, params)
     mprime = min(store.points(), key=lambda q: q.omega).mprime_res

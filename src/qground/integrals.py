@@ -56,22 +56,19 @@ def integrate_radial(values: np.ndarray, grid: RadialGrid, dim: int,
 
 def profile_moment(profile: RadialProfile, k: float, dim: int) -> float:
     """int |u|^k dx with the tail of the fitted decay."""
-    decay, r_max = profile.decay, profile.grid.r_max
-    tail = decay.moment(k, r_max) if decay else 0.0
+    tail = profile.decay.moment(k, profile.grid.r_max)
     return integrate_radial(np.abs(profile.values) ** k, profile.grid, dim, tail)
 
 
 def dirichlet_integral(profile: RadialProfile, dim: int) -> float:
     """int |grad u|^2 dx = |S^{N-1}| int (u')^2 rho^{N-1} drho + tail."""
-    decay, r_max = profile.decay, profile.grid.r_max
-    tail = decay.gradient_moment(2.0, r_max) if decay else 0.0
+    tail = profile.decay.gradient_moment(2.0, profile.grid.r_max)
     return integrate_radial(profile.derivative_values ** 2, profile.grid, dim, tail)
 
 
 def quasi_gradient_integral(profile: RadialProfile, dim: int) -> float:
     """int u^2 |grad u|^2 dx, the quasilinear gradient integral."""
-    decay, r_max = profile.decay, profile.grid.r_max
-    tail = decay.gradient_moment(4.0, r_max) if decay else 0.0
+    tail = profile.decay.gradient_moment(4.0, profile.grid.r_max)
     values = profile.values ** 2 * profile.derivative_values ** 2
     return integrate_radial(values, profile.grid, dim, tail)
 

@@ -7,7 +7,6 @@ quadrature, spectra, asymptotics) shares the types defined here.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -392,17 +391,19 @@ class Decay:
 
 @dataclass
 class RadialProfile:
-    """A radial function sampled on a grid, with decay metadata.
+    """A radial function sampled on a grid, with its far-field law.
 
-    Ground-state profiles are strictly positive and nonincreasing; the
-    derivative at rho = 0 vanishes.  Values beyond decay.match_radius come
-    from the analytic tail, never from raw integration.
+    Every profile carries its Decay: the integrals add its moment beyond
+    R_max, and evaluation beyond R_max returns its value.  Ground-state
+    profiles are strictly positive and nonincreasing; the derivative at
+    rho = 0 vanishes.  Values beyond decay.match_radius come from the
+    analytic tail, never from raw integration.
     """
 
     grid: RadialGrid
     values: np.ndarray
     derivative_values: np.ndarray
-    decay: Optional[Decay] = None
+    decay: Decay
     _interp: Optional[CubicHermiteSpline] = field(default=None, repr=False)
 
     def __call__(self, rho):
@@ -412,10 +413,9 @@ class RadialProfile:
                 self.grid.nodes, self.values, self.derivative_values)
         rho = np.asarray(rho, dtype=float)
         out = self._interp(np.clip(rho, 0.0, self.grid.r_max))
-        if self.decay is not None:
-            far = rho > self.grid.r_max
-            if np.any(far):
-                out = np.where(far, self.decay.value(np.maximum(rho, 1e-300)), out)
+        far = rho > self.grid.r_max
+        if np.any(far):
+            out = np.where(far, self.decay.value(np.maximum(rho, 1e-300)), out)
         return out if out.ndim else float(out)
 
     # -- serialization ------------------------------------------------------
@@ -423,15 +423,8 @@ class RadialProfile:
     def to_csv(self, path) -> None:
         """Write `r,value,dvalue` rows at 17 significant digits."""
         with open(path, "w", newline="") as fh:
-            self._write_csv(fh)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "value", "dvalue"])
-        for r, v, dv in zip(self.grid.nodes, self.values, self.derivative_values):
-            writer.writerow([f"{r:.17g}", f"{v:.17g}", f"{dv:.17g}"])
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["r", "value", "dvalue"])
+            for r, v, dv in zip(self.grid.nodes, self.values,
+                                self.derivative_values):
+                writer.writerow([f"{r:.17g}", f"{v:.17g}", f"{dv:.17g}"])

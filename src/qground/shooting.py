@@ -46,8 +46,7 @@ from scipy.optimize import brentq
 
 from . import integrals, transform
 from .errors import (AmbiguousTrajectory, BracketFailure,
-                     ConstraintViolated, InvalidParams, NoConvergence,
-                     NoGroundState)
+                     ConstraintViolated, NoConvergence, NoGroundState)
 from .params import (Decay, Params, RadialGrid, RadialProfile, Regime,
                      classify, make_grid)
 
@@ -220,8 +219,9 @@ class _Shooter:
         return lo, hi
 
 
-def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
-    """Fitted analytic tail, its match radius and the fitted decay rate.
+def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float]:
+    """Fitted analytic tail, matched at decay.match_radius, and the fitted
+    decay rate.
 
     For omega > 0 the far-field candidates are the points of the final
     trajectory with 0 < v <= 1e-5 a and v' < 0.  The tail is matched at the
@@ -241,13 +241,12 @@ def _fit_tail(shooter: _Shooter, sol, a: float) -> tuple[Decay, float, float]:
         rho, v = sol.t[far], v[far]
         ratio = -sol.y[1, far] / v / law.log_slope(rho)
         m = int(np.argmin(np.abs(ratio - 1.0)))
-        rho_m = float(rho[m])
-        return (law.matched(rho_m, float(v[m])), rho_m,
+        return (law.matched(float(rho[m]), float(v[m])),
                 law.rate * float(ratio[m]))
     rho_m = float(sol.t[-1])
     u_m, vp_m = sol.y[:, -1].tolist()
     v_m = transform.h(u_m, params)
-    return law.matched(rho_m, v_m), rho_m, float(-rho_m * vp_m / v_m)
+    return law.matched(rho_m, v_m), float(-rho_m * vp_m / v_m)
 
 
 @dataclass
@@ -312,9 +311,9 @@ class SolveReport:
             "nehari_residual": self.nehari_residual,
             "iterations": self.iterations,
             "tail_rate_fit": self.tail_rate_fit,
-            "tail_kind": self.v.decay.kind if self.v.decay else None,
-            "tail_amplitude": self.v.decay.amplitude if self.v.decay else None,
-            "tail_match_radius": self.v.decay.match_radius if self.v.decay else None,
+            "tail_kind": self.v.decay.kind,
+            "tail_amplitude": self.v.decay.amplitude,
+            "tail_match_radius": self.v.decay.match_radius,
         }
         d.update(self.diagnostics.as_dict())
         return d
@@ -355,18 +354,20 @@ def _sample_profiles(shooter: _Shooter, sol, a: float, grid: RadialGrid,
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 
-def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
-                  rho_m: float) -> float:
-    """Cell-averaged defect of the radial ODE on interior nodes.
+def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile) -> float:
+    """Cell-averaged defect of the radial ODE on the nodes inside the match
+    radius.
 
     The equation in flux form reads (rho^{N-1} v')' = -rho^{N-1} f(v), so
     per grid cell the defect is
 
         [rho^{N-1} v']_cell + int_cell rho^{N-1} f(v) drho
 
-    normalized by the cell volume int_cell rho^{N-1} drho.  Fluxes and a
-    Gauss rule on the dense trajectory make this measurement free of
-    numerical differentiation, so it is not floored by stencil truncation.
+    normalized by the cell volume int_cell rho^{N-1} drho.  The node fluxes
+    take v' from the profile, which _sample_profiles read off the dense
+    trajectory, and the cell integrals a Gauss rule on that trajectory, so
+    the measurement is free of numerical differentiation and not floored by
+    stencil truncation.
 
     The first two integrator steps are excluded: their cells carry
     degenerate rho^{N-1} volumes that amplify interpolant noise, and the
@@ -375,12 +376,12 @@ def _ode_residual(shooter: _Shooter, sol, v_profile: RadialProfile,
     params = shooter.params
     nodes = v_profile.grid.nodes
     lo = max(START_RADIUS, float(sol.t[min(2, len(sol.t) - 1)]))
-    edges = nodes[(nodes >= lo) & (nodes <= rho_m)]
+    keep = (nodes >= lo) & (nodes <= v_profile.decay.match_radius)
+    edges = nodes[keep]
     if edges.size < 3:
         return 0.0
-    states = sol.sol(edges)
     n = params.dim
-    flux = edges ** (n - 1) * states[1]
+    flux = edges ** (n - 1) * v_profile.derivative_values[keep]
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -452,10 +453,10 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
     sol = shooter.integrate(a, dense=True)
     if sol.t_events[0].size:
         raise AmbiguousTrajectory("the accepted height crosses zero")
-    decay, rho_m, rate_fit = _fit_tail(shooter, sol, a)
+    decay, rate_fit = _fit_tail(shooter, sol, a)
     v_profile, u_profile = _sample_profiles(shooter, sol, a, grid, decay)
 
-    ode_res = _ode_residual(shooter, sol, v_profile, rho_m)
+    ode_res = _ode_residual(shooter, sol, v_profile)
     equiv_res = _equivalence_residual(params, v_profile, u_profile)
     diag = integrals.compute_diagnostics(u_profile, params)
     if params.dim >= 3:
@@ -479,24 +480,3 @@ def solve_ground_state(params: Params, cfg: Optional[ShootingConfig] = None,
             for name, res, tol in report.gates() if not res < tol))
     return report
 
-
-_NLS_CACHE: dict = {}
-
-
-def nls_ground_state(dim: int, p, resolution: int = 1024) -> SolveReport:
-    """Ground state Q of Delta Q - Q + |Q|^{p-1} Q = 0 (delta = 0, omega = 1).
-
-    Exists for N = 2, p > 1 and for N >= 3, p < (N+2)/(N-2).  Reports are
-    cached per (N, p, resolution): the subcritical asymptotics reuse them
-    heavily.
-    """
-    params = Params(dim, p, 0.0, 1.0)
-    regime = classify(params)
-    if dim >= 3 and not regime.is_subcritical:
-        raise InvalidParams(
-            "the NLS ground state needs p < (N+2)/(N-2) in dimension >= 3")
-    key = (dim, params.p, resolution)
-    if key not in _NLS_CACHE:
-        _NLS_CACHE[key] = solve_ground_state(
-            params, ShootingConfig(resolution=resolution))
-    return _NLS_CACHE[key]

@@ -19,8 +19,7 @@ from qground.asymptotics import (bubble_distance, critical_scaling_report,
 from qground.branch import (SweepPlan, energy_identity_check,
                             geometric_ladder, run_sweep)
 from qground.params import Params, classify
-from qground.shooting import (ShootingConfig, nls_ground_state,
-                              solve_ground_state)
+from qground.shooting import ShootingConfig, solve_ground_state
 from qground.spectra import (assemble, kernel_residual, mprime_resolvent,
                              negative_count)
 
@@ -144,7 +143,8 @@ def test_criterion_2_scaling_oracle():
     worst_sup = worst_mass = 0.0
     for dim in (2, 3):
         for p in (2, 3):
-            q_rep = nls_ground_state(dim, p, resolution=2048)
+            q_rep = solve_ground_state(Params(dim, p, 0.0, 1.0),
+                                       ShootingConfig(resolution=2048))
             q_mass = q_rep.diagnostics.mass
             for omega in (0.25, 1.0, 4.0):
                 rep = solve_ground_state(Params(dim, p, 0.0, omega),
@@ -249,7 +249,7 @@ SIGN_SAMPLE = [
 def test_criterion_5_subcritical_expansion(sub_branch):
     t0 = time.time()
     plan, store = sub_branch
-    q_rep = nls_ground_state(3, 2)
+    q_rep = solve_ground_state(Params(3, 2, 0.0, 1.0))
     result = subcritical_expansion_check(store.points(), q_rep,
                                          plan.params_at(2 ** -6))
     assert result["correction_rel_err"] < 0.05

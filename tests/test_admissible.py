@@ -1,17 +1,22 @@
 """Every admissible (N, p, delta, omega) ends in an accepted solve or a
-typed QGroundError, never in an untyped exception or a rejected report."""
+typed QGroundError, never in an untyped exception or a rejected report;
+and every accepted solve with omega > 0 has Morse index 1 or a typed
+spectral failure."""
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qground.errors import QGroundError
 from qground.params import Params
 from qground.shooting import ShootingConfig, solve_ground_state
+from qground.spectra import build_spectral_report
 
 #: a low resolution keeps the sample cheap; coarse quadrature shows up as
 #: typed gate failures, which the property allows
 RESOLUTION = 256
+#: the spectral property solves at the solver's default resolution
+SPECTRAL_RESOLUTION = 1024
 #: the cap on p for N = 2, which has no existence bound
 P_MAX_PLANE = Fraction(12)
 
@@ -49,3 +54,19 @@ def solve_outcome(params: Params) -> str:
 @given(admissible_params())
 def test_admissible_solve_is_accepted_or_typed(params):
     solve_outcome(params)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(admissible_params())
+def test_accepted_solve_has_morse_index_one(params):
+    # the ground state is non-degenerate with one negative direction: L+
+    # has one negative eigenvalue, radial, and none in the l = 1 sector
+    # beside the translational kernel
+    assume(params.omega > 0)
+    try:
+        report = solve_ground_state(params, ShootingConfig(SPECTRAL_RESOLUTION))
+        spectral = build_spectral_report(report)
+    except QGroundError:
+        return
+    assert (spectral.negative_count_radial,
+            spectral.negative_count_total) == (1, 1)

@@ -43,7 +43,7 @@ class TestBubble:
         for dim in (3, 5):
             bubble = AubinTalenti(dim)
             grid = make_grid(Params(dim, 3, 1.0, 0.0), 2048)
-            s = math.sqrt(bubble.m_star)
+            s = math.sqrt(sobolev_constant(dim))
             w_vals = bubble.value(s * grid.nodes)
             w_der = s * bubble.derivative(s * grid.nodes)
             amp = (dim * (dim - 2.0)) ** ((dim - 2.0) / 2.0) / s ** (dim - 2)
@@ -60,7 +60,7 @@ class TestBubble:
         bubble = AubinTalenti(3)
         prof = sample_bubble(bubble, make_grid(Params(3, 3, 1.0, 0.0), 2048))
         assert dirichlet_integral(prof, 3) == pytest.approx(
-            bubble.m_star ** 1.5, rel=1e-8)
+            sobolev_constant(3) ** 1.5, rel=1e-8)
 
     def test_dimension_two_rejected(self):
         with pytest.raises(InvalidParams):

@@ -119,7 +119,8 @@ class TestGrid:
         assert grid.resolution == 1028
         zeros = np.zeros_like(grid.nodes)
         coarse = coarsen_profile(coarsen_profile(
-            RadialProfile(grid=grid, values=zeros, derivative_values=zeros)))
+            RadialProfile(grid=grid, values=zeros, derivative_values=zeros,
+                          decay=Decay(dim=3, rate=1.0, amplitude=0.0))))
         assert coarse.grid.resolution == 257
         assert coarse.grid.nodes[-1] == coarse.grid.r_max == grid.r_max
 
@@ -238,8 +239,9 @@ class TestDecay:
 
 
 class TestProfileCsv:
-    def test_header_and_precision(self, nls33):
-        text = nls33.u.to_csv_string()
+    def test_header_and_precision(self, nls33, tmp_path):
+        nls33.u.to_csv(tmp_path / "u.csv")
+        text = (tmp_path / "u.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == "r,value,dvalue"
         assert len(lines) == len(nls33.u.grid.nodes) + 1

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qground.errors import (BracketFailure, ConstraintViolated, InvalidParams,
-                            NoConvergence, NoGroundState)
+from qground.errors import (AmbiguousTrajectory, BracketFailure,
+                            ConstraintViolated, NoConvergence, NoGroundState)
 from qground.params import Params
 from qground import shooting
-from qground.shooting import (_Shooter, nls_ground_state, series_start,
-                              solve_ground_state)
+from qground.shooting import _Shooter, series_start, solve_ground_state
 from qground.transform import f_omega_u, h, r
 
 from appendix import is_positive_decreasing
@@ -27,7 +26,7 @@ TOWNES_MASS = 11.700896524543062
 class TestNlsOracle:
     def test_heights_match_oracle(self):
         for (dim, p), expected in Q0_ORACLE.items():
-            rep = nls_ground_state(dim, p)
+            rep = solve_ground_state(Params(dim, p, 0.0, 1.0))
             assert rep.shooting_height == pytest.approx(expected, rel=1e-9)
 
     def test_townes_mass(self, townes):
@@ -36,13 +35,6 @@ class TestNlsOracle:
     def test_pohozaev_closure(self, nls33):
         assert nls33.pohozaev_residual < 1e-8
         assert nls33.nehari_residual < 1e-8
-
-    def test_invalid_exponent(self):
-        with pytest.raises(InvalidParams):
-            nls_ground_state(3, 5)
-
-    def test_cache_returns_same_object(self):
-        assert nls_ground_state(3, 3) is nls_ground_state(3, 3)
 
 
 class TestScaling:
@@ -172,8 +164,9 @@ class TestReports:
         v = 1e-6 * shooter.law.value(t) / shooter.law.value(20.0)
         sol = SimpleNamespace(
             t=t, y=np.vstack([v, -(1.0 + gap) * shooter.law.log_slope(t) * v]))
-        decay, rho_m, rate = shooting._fit_tail(shooter, sol, 1.0)
-        assert rho_m == decay.match_radius == t[2]
+        decay, rate = shooting._fit_tail(shooter, sol, 1.0)
+        rho_m = decay.match_radius
+        assert rho_m == t[2]
         assert decay.value(rho_m) == pytest.approx(v[2], rel=1e-14)
         assert rate == pytest.approx(shooter.law.rate * (1.0 + 1e-4),
                                      rel=1e-14)
@@ -324,6 +317,21 @@ class TestDualState:
         assert final[2] == lo_call[0][2]
         assert np.array_equal(final[3], lo_call[0][3])
 
+    def test_crossing_final_pass_is_a_typed_error(self, monkeypatch):
+        # the final pass integrates lo, whose monitor did not see a
+        # crossing; a final pass that reports one anyway is refused
+        integrate = _Shooter.integrate
+
+        def crossing(self, a, dense=False):
+            sol = integrate(self, a, dense)
+            if dense:
+                sol.t_events = [np.array([sol.t[-1]]), *sol.t_events[1:]]
+            return sol
+
+        monkeypatch.setattr(_Shooter, "integrate", crossing)
+        with pytest.raises(AmbiguousTrajectory, match="crosses zero"):
+            solve_ground_state(Params(3, 3, 0.0, 1.0))
+
     def test_exhausted_root_find_raises(self, monkeypatch):
         # the cold bracket of (3, 3, 0, 1) straddles the height at once, so
         # the budget runs out in the root-find, not in the bracket phase
@@ -411,7 +419,8 @@ class TestZeroMass:
     @pytest.mark.parametrize("case", [(7, 2, 0.0, 1.0),
                                       (6, 3, 0.0, 2.0 ** -4),
                                       (7, Fraction(9, 5), 0.0, 1.0),
-                                      (5, 3, 0.0, 0.0)])
+                                      (5, 3, 0.0, 0.0),
+                                      (3, 5, 0.0, 1.0)])
     def test_nls_beyond_sobolev_has_no_ground_state(self, monkeypatch, case):
         # Pohozaev: delta = 0 and p >= (N+2)/(N-2) admit no ground state,
         # which is decided before any grid is built or trajectory integrated
